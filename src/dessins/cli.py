@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import dessin as dd
@@ -116,8 +117,7 @@ def cmd_metric(args) -> int:
                         "ordered by decreasing orbit size")
     metric = build(group)
 
-    rows = mt.metric_grid_rows(metric, n=args.grid, step=args.step,
-                               workers=args.workers)
+    rows = mt.metric_grid_rows(metric, n=args.grid, step=args.step)
     out_path = args.out or f"metric_grid.{args.format}"
     if args.format == "csv":
         payload = mt.format_grid_csv(rows)
@@ -184,6 +184,18 @@ def cmd_sc_demo(args) -> int:
     return 0
 
 
+def _bounded(convert, low, strict: bool = False):
+    """argparse type: ``convert`` the text and require a finite value >= low (> low if strict)."""
+    def parse(text: str):
+        value = convert(text)
+        if not math.isfinite(value) or value < low or (strict and value == low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__  # argparse reports "invalid int value: ..."
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dessins",
@@ -203,12 +215,13 @@ def build_parser() -> argparse.ArgumentParser:
                           help="JSON file with generator matrices")
     p_metric.add_argument("--construction", default="conjugate",
                           choices=sorted(_CONSTRUCTIONS))
-    p_metric.add_argument("--grid", type=int, default=40, metavar="N")
-    p_metric.add_argument("--step", type=float, default=1e-3, metavar="H")
+    p_metric.add_argument("--grid", type=_bounded(int, 2), default=40, metavar="N",
+                          help="grid points per axis, at least 2")
+    p_metric.add_argument("--step", type=_bounded(float, 0.0, strict=True), default=1e-3,
+                          metavar="H", help="finite-difference curvature step, positive")
     p_metric.add_argument("--seed", type=int, default=0)
     p_metric.add_argument("--out", default=None, metavar="PATH")
     p_metric.add_argument("--format", default="csv", choices=("csv", "json"))
-    p_metric.add_argument("--workers", type=int, default=1)
     p_metric.set_defaults(func=cmd_metric)
 
     p_verify = sub.add_parser("verify", help="run the property suites")
@@ -220,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_demo = sub.add_parser("sc-demo", help="triangle map geometry as JSON")
-    p_demo.add_argument("--samples", type=int, default=30)
+    p_demo.add_argument("--samples", type=_bounded(int, 1), default=30,
+                        help="samples per boundary side, at least 1")
     p_demo.add_argument("--out", default=None)
     p_demo.set_defaults(func=cmd_sc_demo)
 

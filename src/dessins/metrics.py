@@ -1,165 +1,132 @@
 """Conformal metrics on the Riemann sphere.
 
-A metric is a pair of positive conformal factors, one per chart:
-``rho(z) |dz|^2`` on the finite chart and ``rho_at_infinity(u) |du|^2``
-in the coordinate ``u = 1/z``.  Chart compatibility means
-``rho(z) = rho_at_infinity(1/z) / |z|^4``.  Factors are callables that
-accept a complex scalar or any ndarray of complex values.
+A metric is one stored representation: a stack of 2x2 matrices ``M`` and
+an optional 2x2 Hermitian form ``H``.  Its density is the mean over the
+stack of a closed-form density pulled back along each ``M``.  Points are
+homogeneous pairs ``(P, R)``: the finite chart is ``(z, 1)`` and the chart
+``u = 1/z`` is ``(1, u)``.  With ``(p, r) = M (P, R)`` the term of ``M`` is
+
+    4 |det M|^2 [h11 (|p|^4 + |r|^4) + 2 h22 |p|^2 |r|^2
+                 + 2 Re(h12 conj(p) r) (|r|^2 - |p|^2)] / (|p|^2 + |r|^2)^4,
+
+and without a form (``H = I``) it is the round-metric pullback
+``4 |det M|^2 / (|p|^2 + |r|^2)^2``.  Each term is homogeneous of degree
+-4 and smooth on the whole sphere, so both charts come from the same
+kernel and ``rho(z) = rho_at_infinity(1/z) / |z|^4`` holds by
+construction.  Pulling a metric back along ``g`` right-multiplies its
+stack.
+
+``|p|^2``, ``|r|^2`` and ``Re(h12 conj(p) r)`` are Hermitian forms in
+``(P, R)``, derived once per metric, so evaluation is real arithmetic on
+the per-point monomials ``|P|^2``, ``|R|^2`` and ``conj(P) R``.
 
 Constructions:
 
-* the round sphere of radius 1, ``4 |dz|^2 / (1 + |z|^2)^2``;
+* the round sphere of radius 1, ``4 |dz|^2 / (1 + |z|^2)^2`` (stack ``[I]``);
 * pullbacks along Moebius transformations;
 * the group average of round-metric pullbacks (invariant for any finite
   group, curvature not constant in general);
 * the pullback of the round metric through the unitarizing conjugator
   (non-cyclic groups only; constant curvature 1 and conjugator-independent);
 * the group-symmetrized restriction of the averaged Hermitian form to the
-  embedded sphere;
+  embedded sphere (the only construction that carries a form);
 * the average of round-metric pullbacks over Moebius maps anchored at
   triples drawn from the three orbits of the fixed-point set.
-
-The pullback of the round metric by a matrix M has the closed form
-``4 |det M|^2 / ((|a z + b|^2 + |c z + d|^2)^2)``, positive and smooth on
-the whole chart, which all stack-based constructions share.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import CyclicGroupUnsupported, StencilOutOfDomain
 from .finite_groups import (FiniteMoebiusGroup, averaged_hermitian_form,
                             orbit_analysis, unitarize)
-from .moebius import FLIP, MoebiusTransform, as_sphere_point, from_triple
+from .moebius import MoebiusTransform, as_sphere_point, from_triple
 
 DEFAULT_CURVATURE_STEP = 1e-3
 DEFAULT_SAMPLES = 200
-_CHUNK_BUDGET = 4_000_000  # max matrix-point pairs per vectorized block
+_CHUNK_BUDGET = 4_000_000  # max form-point pairs per vectorized block
 
 
-@dataclass(frozen=True)
+def _form_coefficients(forms: np.ndarray) -> np.ndarray:
+    """Real coefficients of v^H E v on the monomials (|P|^2, |R|^2, Re w, Im w), w = conj(P) R."""
+    return np.stack([forms[:, 0, 0].real, forms[:, 1, 1].real,
+                     2.0 * forms[:, 0, 1].real, -2.0 * forms[:, 0, 1].imag], axis=1)
+
+
 class ConformalMetric:
-    rho: Callable
-    rho_at_infinity: Callable
-    provenance: str = "custom"
+    """Mean over a (K, 2, 2) matrix stack of the density pulled back along each matrix."""
 
+    def __init__(self, stack, form=None, provenance: str = "custom"):
+        self.stack = np.asarray(stack, dtype=complex).reshape(-1, 2, 2)
+        self.form = None if form is None else np.asarray(form, dtype=complex)
+        self.provenance = provenance
+        m = self.stack
+        det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+        self._weights = 4.0 * np.abs(det) ** 2 / len(m)
+        row1, row2 = m[:, 0, :], m[:, 1, :]
+        if self.form is None:
+            forms = [np.conj(np.transpose(m, (0, 2, 1))) @ m]  # |p|^2 + |r|^2
+        else:
+            cross = np.conj(row1)[:, :, None] * row2[:, None, :]  # conj(p) r
+            h12 = self.form[0, 1]
+            forms = [np.conj(row1)[:, :, None] * row1[:, None, :],  # |p|^2
+                     np.conj(row2)[:, :, None] * row2[:, None, :],  # |r|^2
+                     (h12 * cross + np.conj(h12 * np.transpose(cross, (0, 2, 1)))) / 2.0]
+        self._coef = np.concatenate([_form_coefficients(f) for f in forms])
 
-def _wrap(fn):
-    """Lift a 1-d-array kernel to accept complex scalars or ndarrays."""
-    def rho(z):
-        arr = np.asarray(z, dtype=complex)
-        vals = fn(np.atleast_1d(arr).ravel())
-        if arr.shape == ():
-            return float(vals[0])
-        return vals.reshape(arr.shape)
-    return rho
+    def rho(self, z):
+        """Conformal factor in the finite chart: the kernel at (z, 1)."""
+        return self._chart(z, finite=True)
 
+    def rho_at_infinity(self, u):
+        """Conformal factor in the chart u = 1/z: the kernel at (1, u)."""
+        return self._chart(u, finite=False)
 
-def _swap_charts(g: ConformalMetric) -> ConformalMetric:
-    return ConformalMetric(g.rho_at_infinity, g.rho, g.provenance)
+    def _chart(self, coords, finite: bool):
+        arr = np.asarray(coords, dtype=complex)
+        vals = self._density(*_homogeneous(arr.ravel(), finite))
+        return float(vals[0]) if arr.shape == () else vals.reshape(arr.shape)
 
-
-# ---------------------------------------------------------------------------
-# stack-based densities (sums of round-metric pullbacks)
-
-def _pulled_round_kernel(mats) -> Callable:
-    mats = np.asarray(mats, dtype=complex)
-    a = mats[:, 0, 0][:, None]
-    b = mats[:, 0, 1][:, None]
-    c = mats[:, 1, 0][:, None]
-    d = mats[:, 1, 1][:, None]
-    det2 = np.abs(mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0])[:, None] ** 2
-    chunk = max(1, _CHUNK_BUDGET // mats.shape[0])
-
-    def kernel(zf):
-        out = np.empty(zf.shape[0])
-        for s in range(0, zf.shape[0], chunk):
-            zz = zf[s:s + chunk][None, :]
-            n2 = np.abs(a * zz + b) ** 2 + np.abs(c * zz + d) ** 2
-            out[s:s + chunk] = np.mean(4.0 * det2 / (n2 * n2), axis=0)
+    def _density(self, p: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Mean stack density at the homogeneous points (p, r), 1-d arrays."""
+        out = np.empty(p.shape[0])
+        chunk = max(1, _CHUNK_BUDGET // self._coef.shape[0])
+        for s in range(0, out.shape[0], chunk):
+            pc, rc = p[s:s + chunk], r[s:s + chunk]
+            w = np.conj(pc) * rc
+            mono = np.stack([pc.real ** 2 + pc.imag ** 2, rc.real ** 2 + rc.imag ** 2,
+                             w.real, w.imag])
+            q = self._coef @ mono
+            if self.form is None:
+                q *= q
+                terms = np.reciprocal(q, out=q)
+            else:
+                h11, h22 = self.form[0, 0].real, self.form[1, 1].real
+                pp, rr, cross = q.reshape(3, len(self.stack), -1)
+                n2 = (pp + rr) ** 2
+                terms = ((h11 * (pp * pp + rr * rr) + 2.0 * h22 * pp * rr
+                          + 2.0 * cross * (rr - pp)) / (n2 * n2))
+            out[s:s + chunk] = self._weights @ terms
         return out
 
-    return kernel
 
-
-def _metric_from_stack(mats, provenance: str) -> ConformalMetric:
-    mats = np.asarray(mats, dtype=complex)
-    flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    return ConformalMetric(
-        rho=_wrap(_pulled_round_kernel(mats)),
-        rho_at_infinity=_wrap(_pulled_round_kernel(mats @ flip)),
-        provenance=provenance,
-    )
+def _homogeneous(coords: np.ndarray, finite: bool):
+    """Homogeneous points of chart coordinates: (z, 1) in the finite chart, (1, u) in the other."""
+    one = np.ones_like(coords)
+    return (coords, one) if finite else (one, coords)
 
 
 def round_metric() -> ConformalMetric:
-    """The radius-1 round sphere carried to both charts: 4 / (1 + |.|^2)^2."""
-    def kernel(zf):
-        return 4.0 / (1.0 + np.abs(zf) ** 2) ** 2
-    return ConformalMetric(_wrap(kernel), _wrap(kernel), "round")
-
-
-# ---------------------------------------------------------------------------
-# pullback
-
-def _pullback_density(g: ConformalMetric, m: MoebiusTransform) -> Callable:
-    """Density z -> rho_g(m(z)) |m'(z)|^2, switching charts where |m(z)| > 1."""
-    a, b, c, d = m.a, m.b, m.c, m.d
-
-    def kernel(zf):
-        top = a * zf + b
-        bot = c * zf + d
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = top / bot
-        finite = np.isfinite(w) & (np.abs(w) <= 1.0)
-        out = np.empty(zf.shape[0])
-        if finite.any():
-            out[finite] = (np.asarray(g.rho(w[finite]), float)
-                           / np.abs(bot[finite]) ** 4)
-        other = ~finite
-        if other.any():
-            # image lies in the u = 1/z chart; 1/m has matrix [[c,d],[a,b]]
-            out[other] = (np.asarray(g.rho_at_infinity(bot[other] / top[other]), float)
-                          / np.abs(top[other]) ** 4)
-        return out
-
-    return _wrap(kernel)
+    """The radius-1 round sphere: 4 / (1 + |.|^2)^2 in both charts."""
+    return ConformalMetric(np.eye(2), provenance="round")
 
 
 def pullback(m: MoebiusTransform, g: ConformalMetric) -> ConformalMetric:
     """The metric h with h = g pulled back along m: rho_h = (rho_g ∘ m) |m'|^2."""
-    return ConformalMetric(
-        rho=_pullback_density(g, m),
-        rho_at_infinity=_pullback_density(g, m.compose(FLIP)),
-        provenance=f"pullback[{g.provenance}]",
-    )
-
-
-def scaled(g: ConformalMetric, factor: float) -> ConformalMetric:
-    """Multiply both conformal factors by a positive constant."""
-    if factor <= 0:
-        raise ValueError("factor must be positive")
-    return ConformalMetric(
-        rho=lambda z: factor * np.asarray(g.rho(z)) if np.ndim(z) else factor * g.rho(z),
-        rho_at_infinity=lambda u: (factor * np.asarray(g.rho_at_infinity(u))
-                                   if np.ndim(u) else factor * g.rho_at_infinity(u)),
-        provenance=f"scaled[{g.provenance}]",
-    )
-
-
-def _mean_density(densities) -> Callable:
-    def rho(z):
-        vals = [dens(z) for dens in densities]
-        if isinstance(vals[0], float):
-            return sum(vals) / len(vals)
-        return np.mean(np.stack(vals), axis=0)
-    return rho
+    return ConformalMetric(g.stack @ m.matrix, g.form, f"pullback[{g.provenance}]")
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +138,7 @@ def averaged_metric(g: FiniteMoebiusGroup) -> ConformalMetric:
     Invariant under g by construction and equal to the round metric when
     the group is already made of rotations.
     """
-    return _metric_from_stack(g.matrix_stack(), f"average[{g.type_tag}]")
+    return ConformalMetric(g.matrix_stack(), provenance=f"average[{g.type_tag}]")
 
 
 def conjugated_metric(g: FiniteMoebiusGroup) -> ConformalMetric:
@@ -184,56 +151,20 @@ def conjugated_metric(g: FiniteMoebiusGroup) -> ConformalMetric:
     if g.type_tag.is_cyclic:
         raise CyclicGroupUnsupported(
             f"{g.type_tag} is cyclic; the conjugated metric is not canonical")
-    phi = unitarize(g).phi
-    return _metric_from_stack(phi.matrix[None, :, :], f"conjugate[{g.type_tag}]")
-
-
-def _hermitian_base(h: np.ndarray) -> ConformalMetric:
-    """Conformal part of the h-Hermitian form restricted to the embedded sphere.
-
-    The sphere sits in C^2 as (z, t) with t real; pushing the tangent
-    frame of the stereographic parametrization through the form and
-    averaging the two chart directions gives a closed-form factor in each
-    chart.
-    """
-    h11 = float(h[0, 0].real)
-    h22 = float(h[1, 1].real)
-    h12 = complex(h[0, 1])
-
-    def q(v1, v2):
-        return (h11 * np.abs(v1) ** 2
-                + 2.0 * (np.conj(v1) * h12 * v2).real
-                + h22 * np.abs(v2) ** 2)
-
-    def fin(zf):
-        dd = 2.0 / (1.0 + np.abs(zf) ** 2) ** 2
-        zz = zf * zf
-        return 0.5 * dd * dd * (q(1.0 - zz, 2.0 * zf.real)
-                                + q(1.0 + zz, -2j * zf.imag))
-
-    def inf(uf):
-        ub = np.conj(uf)
-        dd = 2.0 / (1.0 + np.abs(uf) ** 2) ** 2
-        uu = ub * ub
-        return 0.5 * dd * dd * (q(1.0 - uu, -(uf + ub))
-                                + q(1.0 + uu, ub - uf))
-
-    return ConformalMetric(_wrap(fin), _wrap(inf), "hermitian-base")
+    return ConformalMetric(unitarize(g).phi.matrix, provenance=f"conjugate[{g.type_tag}]")
 
 
 def hermitian_metric(g: FiniteMoebiusGroup) -> ConformalMetric:
     """Sphere metric from the averaged invariant Hermitian form.
 
-    The averaged form is restricted to tangent planes of the embedded
-    sphere and expressed in each chart; the restriction itself is not
-    preserved by non-rotation group elements, so the group average of its
-    pullbacks is taken, which is exactly invariant and still reduces to
-    the round metric whenever the group lies in the rotations.
+    The sphere sits in C^2 as (z, t) with t real; the averaged form,
+    restricted to its tangent planes and averaged over the two chart
+    directions, is the kernel's form term.  That restriction is not
+    preserved by non-rotation group elements, so the stack is the group
+    itself: the mean of its pullbacks is exactly invariant and still
+    reduces to the round metric whenever the group lies in the rotations.
     """
-    base = _hermitian_base(averaged_hermitian_form(g))
-    fins = [_pullback_density(base, m) for m in g.elements]
-    infs = [_pullback_density(base, m.compose(FLIP)) for m in g.elements]
-    return ConformalMetric(_mean_density(fins), _mean_density(infs),
+    return ConformalMetric(g.matrix_stack(), averaged_hermitian_form(g),
                            f"hermitian[{g.type_tag}]")
 
 
@@ -264,18 +195,19 @@ def orbit_triple_metric(g: FiniteMoebiusGroup) -> ConformalMetric:
     Cyclic groups have no orbit triple and fall back to the round metric.
     """
     if g.type_tag.is_cyclic:
-        rnd = round_metric()
-        return ConformalMetric(rnd.rho, rnd.rho_at_infinity,
-                               f"orbit-round-fallback[{g.type_tag}]")
-    return _metric_from_stack(orbit_triple_matrices(g), f"orbit[{g.type_tag}]")
+        return ConformalMetric(np.eye(2), provenance=f"orbit-round-fallback[{g.type_tag}]")
+    return ConformalMetric(orbit_triple_matrices(g), provenance=f"orbit[{g.type_tag}]")
 
 
 # ---------------------------------------------------------------------------
-# curvature
+# curvature (finite differences; works on any object with rho and rho_at_infinity)
 
-def _stencil_values(rho, coords, h):
-    offsets = (0.0, h, -h, 1j * h, -1j * h)
-    vals = np.stack([np.asarray(rho(coords + off), dtype=float) for off in offsets])
+def _stencil_values(g, chart: str, coords, h):
+    """rho at the chart coordinates (row 0) and at their four neighbours at distance h."""
+    rho = g.rho if chart == "finite" else g.rho_at_infinity
+    coords = np.atleast_1d(np.asarray(coords, dtype=complex))
+    offsets = np.array([0.0, h, -h, 1j * h, -1j * h])
+    vals = np.asarray(rho(coords[None, :] + offsets[:, None]), dtype=float)
     if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
         raise StencilOutOfDomain("conformal factor undefined or non-positive "
                                  "on the finite-difference stencil")
@@ -288,19 +220,16 @@ def _laplacian_curvature(vals, h):
     return -lap / vals[0]
 
 
-def curvature_samples(g: ConformalMetric, chart: str, coords, step: float = DEFAULT_CURVATURE_STEP):
+def curvature_samples(g, chart: str, coords, step: float = DEFAULT_CURVATURE_STEP):
     """Gaussian curvature at an array of chart coordinates."""
-    rho = g.rho if chart == "finite" else g.rho_at_infinity
-    coords = np.atleast_1d(np.asarray(coords, dtype=complex))
-    return _laplacian_curvature(_stencil_values(rho, coords, step), step)
+    return _laplacian_curvature(_stencil_values(g, chart, coords, step), step)
 
 
-def curvature(g: ConformalMetric, z, step: float = DEFAULT_CURVATURE_STEP,
-              richardson: bool = False) -> float:
+def curvature(g, z, step: float = DEFAULT_CURVATURE_STEP) -> float:
     """Gaussian curvature at a point, by the 5-point Laplacian of log(rho)/2.
 
     Points with |z| > 1 (and infinity itself) are evaluated in the
-    u = 1/z chart, where the factor is regular.
+    u = 1/z chart, where the stencil stays on the unit disc.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -311,11 +240,7 @@ def curvature(g: ConformalMetric, z, step: float = DEFAULT_CURVATURE_STEP,
         chart, w = "infinity", 1.0 / p.z
     else:
         chart, w = "finite", p.z
-    k = float(curvature_samples(g, chart, w, step)[0])
-    if richardson:
-        k_half = float(curvature_samples(g, chart, w, step / 2.0)[0])
-        k = (4.0 * k_half - k) / 3.0
-    return k
+    return float(curvature_samples(g, chart, w, step)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -339,40 +264,35 @@ def sphere_samples(n: int = DEFAULT_SAMPLES):
     return finite, inf
 
 
+def _sample_points(samples: int):
+    """The spiral samples of both charts as one array of homogeneous points."""
+    zf, uf = sphere_samples(samples)
+    (p1, r1), (p2, r2) = _homogeneous(zf, True), _homogeneous(uf, False)
+    return np.concatenate([p1, p2]), np.concatenate([r1, r2])
+
+
 def invariance_defect(g: ConformalMetric, grp: FiniteMoebiusGroup,
                       samples: int = DEFAULT_SAMPLES) -> float:
     """sup over samples and group elements of |rho(h(z)) |h'|^2 - rho(z)| / rho(z)."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    zf, uf = sphere_samples(samples)
-    flipped = _swap_charts(g)
-    rho_f = np.asarray(g.rho(zf), float)
-    rho_i = np.asarray(flipped.rho(uf), float)
+    p, r = _sample_points(samples)
+    base = g._density(p, r)
     worst = 0.0
     for el in grp.elements:
         if el.is_identity():
             continue
-        lhs = np.asarray(_pullback_density(g, el)(zf), float)
-        worst = max(worst, float(np.max(np.abs(lhs - rho_f) / rho_f)))
-        el_inf = FLIP.compose(el).compose(FLIP)
-        lhs_i = np.asarray(_pullback_density(flipped, el_inf)(uf), float)
-        worst = max(worst, float(np.max(np.abs(lhs_i - rho_i) / rho_i)))
+        (a, b), (c, d) = el.matrix
+        moved = abs(a * d - b * c) ** 2 * g._density(a * p + b * r, c * p + d * r)
+        worst = max(worst, float(np.max(np.abs(moved - base) / base)))
     return worst
 
 
 def metric_distance(g1: ConformalMetric, g2: ConformalMetric,
                     samples: int = DEFAULT_SAMPLES) -> float:
-    """sup over samples of |rho1 - rho2| / rho2, evaluated chart-aware."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    zf, uf = sphere_samples(samples)
-    worst = 0.0
-    for coords, r1, r2 in ((zf, g1.rho, g2.rho),
-                           (uf, g1.rho_at_infinity, g2.rho_at_infinity)):
-        a = np.asarray(r1(coords), float)
-        b = np.asarray(r2(coords), float)
-        worst = max(worst, float(np.max(np.abs(a - b) / b)))
-    return worst
+    """sup over samples of |rho1 - rho2| / rho2, over both charts."""
+    p, r = _sample_points(samples)
+    a = g1._density(p, r)
+    b = g2._density(p, r)
+    return float(np.max(np.abs(a - b) / b))
 
 
 def chart_compatibility_defect(g: ConformalMetric, samples: int = 64) -> float:
@@ -380,8 +300,8 @@ def chart_compatibility_defect(g: ConformalMetric, samples: int = 64) -> float:
     radii = np.linspace(0.5, 2.0, 8)
     angles = np.linspace(0.0, 2.0 * np.pi, max(2, samples // 8), endpoint=False)
     z = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
-    lhs = np.asarray(g.rho(z), float)
-    rhs = np.asarray(g.rho_at_infinity(1.0 / z), float) / np.abs(z) ** 4
+    lhs = g.rho(z)
+    rhs = g.rho_at_infinity(1.0 / z) / np.abs(z) ** 4
     return float(np.max(np.abs(lhs - rhs) / rhs))
 
 
@@ -396,29 +316,19 @@ def grid_points(n: int = 40) -> np.ndarray:
 
 
 def metric_grid_rows(g: ConformalMetric, n: int = 40,
-                     step: float = DEFAULT_CURVATURE_STEP, workers: int = 1):
+                     step: float = DEFAULT_CURVATURE_STEP):
     """Grid rows (re, im, chart, rho, curvature) over both charts.
 
-    The result is independent of ``workers``; the pool only splits the
-    evaluation into ordered chunks.
+    rho is the centre of the curvature stencil, so each point is evaluated
+    once per stencil offset.
     """
     pts = grid_points(n)
     rows = []
     for chart in ("finite", "infinity"):
-        rho = g.rho if chart == "finite" else g.rho_at_infinity
-        if workers > 1:
-            chunks = np.array_split(pts, workers)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                dens_parts = list(pool.map(lambda c: np.asarray(rho(c), float), chunks))
-                curv_parts = list(pool.map(
-                    lambda c: curvature_samples(g, chart, c, step), chunks))
-            dens = np.concatenate(dens_parts)
-            curv = np.concatenate(curv_parts)
-        else:
-            dens = np.asarray(rho(pts), float)
-            curv = curvature_samples(g, chart, pts, step)
+        vals = _stencil_values(g, chart, pts, step)
+        curv = _laplacian_curvature(vals, step)
         rows.extend((float(z.real), float(z.imag), chart, float(r), float(k))
-                    for z, r, k in zip(pts, dens, curv))
+                    for z, r, k in zip(pts, vals[0], curv))
     return rows
 
 

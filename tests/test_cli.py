@@ -145,3 +145,27 @@ def test_sc_demo(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["boundary_correspondence"]) == 3
     assert payload["triangle"]["angles"][0] == pytest.approx(1.5707963267948966)
+
+
+def _rejected(argv, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("size", ["0", "1", "-3"])
+def test_metric_grid_below_two_exit_2(size, capsys):
+    _rejected(["metric", "--group", "D3", "--grid", size], capsys, "--grid")
+
+
+@pytest.mark.parametrize("step", ["0", "-0.001", "nan", "inf"])
+def test_metric_step_not_positive_exit_2(step, capsys):
+    _rejected(["metric", "--group", "D3", "--step", step], capsys, "--step")
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_sc_demo_samples_below_one_exit_2(samples, capsys):
+    _rejected(["sc-demo", "--samples", samples], capsys, "--samples")

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,17 +41,32 @@ def test_pullback_by_rotation_preserves_round():
 
 def test_pullback_functoriality():
     rng = np.random.default_rng(7)
-    rnd = mt.round_metric()
+    d3 = fg.conjugate_group(fg.from_type("D3"), mb.MoebiusTransform([[1.1, 0.2j], [0.1, 0.9]]))
     zf, uf = mt.sphere_samples(40)
-    for _ in range(20):
-        m1 = fg.random_conjugator(rng, 20.0)
-        m2 = fg.random_conjugator(rng, 20.0)
-        lhs = mt.pullback(m1.compose(m2), rnd)
-        rhs = mt.pullback(m2, mt.pullback(m1, rnd))
-        num = np.abs(np.asarray(lhs.rho(zf)) - np.asarray(rhs.rho(zf)))
-        assert float(np.max(num / np.asarray(rhs.rho(zf)))) < 1e-10
-        num = np.abs(np.asarray(lhs.rho_at_infinity(uf)) - np.asarray(rhs.rho_at_infinity(uf)))
-        assert float(np.max(num / np.asarray(rhs.rho_at_infinity(uf)))) < 1e-10
+    for base in (mt.round_metric(), mt.hermitian_metric(d3)):
+        for _ in range(20):
+            m1 = fg.random_conjugator(rng, 20.0)
+            m2 = fg.random_conjugator(rng, 20.0)
+            lhs = mt.pullback(m1.compose(m2), base)
+            rhs = mt.pullback(m2, mt.pullback(m1, base))
+            num = np.abs(np.asarray(lhs.rho(zf)) - np.asarray(rhs.rho(zf)))
+            assert float(np.max(num / np.asarray(rhs.rho(zf)))) < 1e-10
+            num = np.abs(np.asarray(lhs.rho_at_infinity(uf)) - np.asarray(rhs.rho_at_infinity(uf)))
+            assert float(np.max(num / np.asarray(rhs.rho_at_infinity(uf)))) < 1e-10
+
+
+def test_pullback_with_form_matches_chain_rule():
+    # rho_h(z) = rho_g(m(z)) |m'(z)|^2, with rho_g read in whichever chart holds m(z)
+    rng = np.random.default_rng(11)
+    g = mt.hermitian_metric(fg.conjugate_group(fg.from_type("A4"), fg.random_conjugator(rng, 10.0)))
+    for _ in range(10):
+        m = fg.random_conjugator(rng, 20.0)
+        h = mt.pullback(m, g)
+        for z in mt.grid_points(6):
+            w = m(z).z
+            target = g.rho(w) if abs(w) <= 1.0 else g.rho_at_infinity(1.0 / w) / abs(w) ** 4
+            expected = target * abs(m.derivative(z)) ** 2
+            assert abs(h.rho(z) - expected) < 1e-10 * expected
 
 
 def test_pullback_total_at_poles():
@@ -146,10 +162,8 @@ def test_curvature_reference_values():
     assert abs(mt.curvature(rnd, 0.3 + 0.2j, 1e-3) - 1.0) < 1e-4
     rot = mt.pullback(mb.MoebiusTransform([[1, 1j], [1j, 1]]), rnd)
     assert abs(mt.curvature(rot, 0.1 - 0.4j, 1e-3) - 1.0) < 1e-4
-    flat = mt.ConformalMetric(lambda z: np.ones_like(np.asarray(z, complex), dtype=float)
-                              if np.ndim(z) else 1.0,
-                              lambda u: np.ones_like(np.asarray(u, complex), dtype=float)
-                              if np.ndim(u) else 1.0)
+    flat = SimpleNamespace(rho=lambda z: np.ones_like(np.asarray(z, complex), dtype=float),
+                           rho_at_infinity=lambda u: np.ones_like(np.asarray(u, complex), dtype=float))
     assert abs(mt.curvature(flat, 0.2 + 0.1j)) < 1e-8
 
 
@@ -157,19 +171,11 @@ def test_curvature_chart_switching():
     rnd = mt.round_metric()
     assert abs(mt.curvature(rnd, 5.0 + 2j) - 1.0) < 1e-4
     assert abs(mt.curvature(rnd, mb.INFINITY) - 1.0) < 1e-4
-    assert abs(mt.curvature(rnd, 0.5, richardson=True) - 1.0) < 1e-8
-
-
-def test_curvature_scaling_consistency():
-    g = mt.averaged_metric(involution_group())
-    z = 0.4 + 0.3j
-    assert abs(mt.curvature(mt.scaled(g, 4.0), z) - mt.curvature(g, z) / 4.0) < 1e-6
 
 
 def test_curvature_stencil_out_of_domain():
-    bad = mt.ConformalMetric(lambda z: np.asarray(np.real(z), dtype=float)
-                             if np.ndim(z) else float(np.real(z)),
-                             lambda u: 1.0)
+    bad = SimpleNamespace(rho=lambda z: np.real(np.asarray(z, complex)),
+                          rho_at_infinity=lambda u: np.ones_like(np.asarray(u, complex), dtype=float))
     with pytest.raises(StencilOutOfDomain):
         mt.curvature(bad, -0.5 + 0j)
     with pytest.raises(ValueError):
@@ -223,13 +229,64 @@ def test_grid_rows_and_formats():
     assert as_json[0].keys() == {"re", "im", "chart", "rho", "curvature"}
 
 
-def test_grid_rows_worker_independent():
-    metric = mt.averaged_metric(fg.from_type("D3"))
-    assert mt.metric_grid_rows(metric, n=10) == mt.metric_grid_rows(metric, n=10, workers=3)
-
-
 def test_sphere_samples_cover_both_charts():
     zf, uf = mt.sphere_samples(101)
     assert len(zf) + len(uf) == 101
     assert np.all(np.abs(zf) <= 1.0 + 1e-12)
     assert np.all(np.abs(uf) < 1.0)
+
+
+# ---------------------------------------------------------------------------
+# oracle: per-element evaluation with chart switching, independent of the kernel
+
+def _restricted_form(h, coords, finite):
+    """Conformal factor of the Hermitian form h restricted to the sphere, in one chart."""
+    h11, h22, h12 = h[0, 0].real, h[1, 1].real, h[0, 1]
+
+    def q(v1, v2):
+        return h11 * np.abs(v1) ** 2 + 2.0 * (np.conj(v1) * h12 * v2).real + h22 * np.abs(v2) ** 2
+
+    dd = 2.0 / (1.0 + np.abs(coords) ** 2) ** 2
+    if finite:
+        zz = coords * coords
+        return 0.5 * dd * dd * (q(1.0 - zz, 2.0 * coords.real) + q(1.0 + zz, -2j * coords.imag))
+    ub = np.conj(coords)
+    uu = ub * ub
+    return 0.5 * dd * dd * (q(1.0 - uu, -(coords + ub)) + q(1.0 + uu, ub - coords))
+
+
+def _oracle_rho(metric, coords, finite):
+    """Mean over the stack of the form's factor at m(z) times |m'(z)|^2.
+
+    The factor is read in the chart where |m(z)| <= 1; the infinity chart
+    uses the stack composed with the flip z -> 1/z.
+    """
+    h = np.eye(2) if metric.form is None else metric.form
+    mats = metric.stack if finite else metric.stack @ np.array([[0.0, 1.0], [1.0, 0.0]])
+    a, b, c, d = (mats[:, i, j][:, None] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    det2 = np.abs(a * d - b * c) ** 2
+    top = a * coords[None, :] + b
+    bot = c * coords[None, :] + d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = top / bot
+    near = np.isfinite(w) & (np.abs(w) <= 1.0)
+    out = np.empty(w.shape)
+    out[near] = _restricted_form(h, w[near], True) / np.abs(bot[near]) ** 4
+    out[~near] = _restricted_form(h, bot[~near] / top[~near], False) / np.abs(top[~near]) ** 4
+    return np.mean(det2 * out, axis=0)
+
+
+@pytest.mark.parametrize("tag", ["D3", "A4", "S4", "A5"])
+def test_kernel_matches_per_element_oracle(tag):
+    rng = np.random.default_rng(5)
+    base = fg.from_type(tag)
+    groups = [base] + [fg.conjugate_group(base, fg.random_conjugator(rng, 100.0)) for _ in range(2)]
+    coords = np.concatenate([mt.grid_points(9), mt.sphere_samples(40)[0]])
+    for g in groups:
+        for build in (mt.averaged_metric, mt.conjugated_metric,
+                      mt.hermitian_metric, mt.orbit_triple_metric):
+            metric = build(g)
+            for finite, rho in ((True, metric.rho), (False, metric.rho_at_infinity)):
+                expected = _oracle_rho(metric, coords, finite)
+                err = float(np.max(np.abs(rho(coords) - expected) / expected))
+                assert err < 1e-12, (tag, metric.provenance, finite, err)
