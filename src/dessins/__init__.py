@@ -9,7 +9,7 @@ from .errors import (BranchViolation, CyclicGroupUnsupported, DegenerateTriple,
                      MalformedInput, NoConvergence, NotAPermutation,
                      NumericalAmbiguity, OutsideButterfly, PoleEvaluation,
                      StencilOutOfDomain, TrivialGroup, UnsupportedType)
-from .finite_groups import (Conjugator, FiniteMoebiusGroup, Orbit, OrbitData,
+from .finite_groups import (FiniteMoebiusGroup, Orbit, OrbitData,
                             burnside_consistent, closure, conjugate_group,
                             conjugator_well_defined, from_type, is_in_SO3,
                             orbit_analysis, random_conjugator, unitarize)
@@ -20,10 +20,10 @@ from .metrics import (ConformalMetric, averaged_metric, chart_compatibility_defe
                       metric_grid_rows, orbit_triple_metric, pullback,
                       round_metric, sphere_samples)
 from .moebius import (ALL_POINTS, INFINITY, EuclideanSpherePoint,
-                      MoebiusTransform, SpherePoint, apply, as_sphere_point,
-                      chordal_distance, compose, derivative, element_order,
-                      fixed_points, from_triple, inverse, projective_distance,
-                      standard_generators, stereographic, stereographic_inverse)
+                      MoebiusTransform, SpherePoint, as_sphere_point,
+                      chordal_distance, element_order, fixed_points, from_triple,
+                      projective_distance, standard_generators, stereographic,
+                      stereographic_inverse)
 from .schwarz_christoffel import (TriangleMap, butterfly_belyi, sc_forward,
                                   sc_inverse, triangle_map)
 

@@ -24,7 +24,8 @@ from . import dessin as dd
 from . import metrics as mt
 from . import schwarz_christoffel as sc
 from .errors import (CyclicGroupUnsupported, Disconnected, GenusMismatch,
-                     MalformedInput, NotAPermutation)
+                     MalformedInput, NotAPermutation, NumericalAmbiguity,
+                     StencilOutOfDomain)
 from .finite_groups import (closure, conjugator_well_defined, is_in_SO3)
 from .grouptypes import parse_group_tag
 from .moebius import MoebiusTransform, standard_generators
@@ -94,6 +95,8 @@ def _load_group(args):
     elif args.generators:
         data = json.loads(_read_text(args.generators))
         entries = data["elements"] if isinstance(data, dict) else data
+        if not isinstance(entries, list):
+            raise MalformedInput("generators must be a list, or an object whose 'elements' is one")
         gens = [MoebiusTransform.from_entries(e) for e in entries]
     else:
         raise MalformedInput(
@@ -245,7 +248,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (MalformedInput, NotAPermutation, Disconnected) as exc:
+    except (MalformedInput, NotAPermutation, Disconnected, NumericalAmbiguity,
+            StencilOutOfDomain) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except (json.JSONDecodeError, ValueError, KeyError) as exc:

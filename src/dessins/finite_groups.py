@@ -1,15 +1,16 @@
-"""Finite Moebius groups as explicit element lists.
+"""Finite Moebius groups as read-only (order, 2, 2) stacks of determinant-1 matrices.
 
 Groups are built by breadth-first closure of a generating set with
-projective deduplication, classified through their element-order census,
-and conjugated into the rotation group by averaging the Hermitian forms
-A^H A over the elements (the averaged form H is positive definite; its
-triangular factor conjugates the group onto projectively unitary
-matrices).
+projective deduplication, classified through their element-order census
+(one power walk of the whole stack), and conjugated into the rotation
+group by averaging the Hermitian forms A^H A over the stack (the averaged
+form H is positive definite; its triangular factor conjugates the group
+onto projectively unitary matrices).
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,25 +21,32 @@ from .errors import (CyclicGroupUnsupported, InfiniteGroup, NumericalAmbiguity,
                      TrivialGroup)
 from .grouptypes import GroupType, classify_census, parse_group_tag
 from .moebius import (DEFAULT_ORDER_CAP, PROJECTIVE_TOL, MoebiusTransform,
-                      SpherePoint, chordal_distance, element_order,
-                      fixed_points, projective_distance, standard_generators)
+                      SpherePoint, chordal_distance, element_orders,
+                      fixed_points, projective_gap, standard_generators)
 
 DEFAULT_CLOSURE_CAP = 200
 CLUSTER_TOL = 1e-8  # chordal distance identifying sphere points
+SPREAD_SAMPLES = 200  # sphere samples per comparison of two conjugated metrics
+SPREAD_CONDITION = 100.0  # condition cap of their random conjugators
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteMoebiusGroup:
-    elements: tuple[MoebiusTransform, ...]
+    """A finite group as one read-only (order, 2, 2) stack of determinant-1 matrices."""
+    stack: np.ndarray
     type_tag: GroupType
+
+    def __post_init__(self):
+        self.stack.setflags(write=False)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.stack)
 
-    def matrix_stack(self) -> np.ndarray:
-        """All normalized element matrices as one (order, 2, 2) array."""
-        return np.array([m.matrix for m in self.elements])
+    @property
+    def elements(self) -> tuple[MoebiusTransform, ...]:
+        """The stack's matrices as transformations, in stack order."""
+        return tuple(MoebiusTransform.from_normalized(m) for m in self.stack)
 
     def to_json(self) -> dict:
         return {"type": str(self.type_tag),
@@ -46,13 +54,9 @@ class FiniteMoebiusGroup:
 
     @staticmethod
     def from_json(data: dict) -> "FiniteMoebiusGroup":
-        els = tuple(MoebiusTransform.from_entries(e) for e in data["elements"])
-        return FiniteMoebiusGroup(els, parse_group_tag(data["type"]))
-
-
-@dataclass(frozen=True)
-class Conjugator:
-    phi: MoebiusTransform
+        mats = [MoebiusTransform.from_entries(e).matrix for e in data["elements"]]
+        return FiniteMoebiusGroup(np.array(mats).reshape(-1, 2, 2),
+                                  parse_group_tag(data["type"]))
 
 
 @dataclass(frozen=True)
@@ -71,25 +75,22 @@ class OrbitData:
         return tuple(len(o.points) for o in self.orbits)
 
 
-def _census(elements) -> dict[int, int]:
+def is_abelian(stack: np.ndarray) -> bool:
+    """Do all matrices of the stack commute projectively?  One row of products at a time."""
+    return all(projective_gap(a @ stack, stack @ a).max() < PROJECTIVE_TOL for a in stack)
+
+
+def _classify(stack: np.ndarray) -> GroupType:
     # element orders divide the group order, which may exceed the default cap
-    cap = max(DEFAULT_ORDER_CAP, len(elements))
-    return dict(Counter(element_order(m, cap) for m in elements))
-
-
-def _is_abelian(elements) -> bool:
-    for i, a in enumerate(elements):
-        for b in elements[i + 1:]:
-            if not a.compose(b).projectively_equal(b.compose(a)):
-                return False
-    return True
+    orders = element_orders(stack, max(DEFAULT_ORDER_CAP, len(stack)))
+    if not orders.all():
+        return GroupType.other()
+    return classify_census(len(stack), dict(Counter(orders.tolist())), is_abelian(stack))
 
 
 def classify_elements(elements) -> GroupType:
-    census = _census(elements)
-    if None in census:
-        return GroupType.other()
-    return classify_census(len(elements), census, _is_abelian(elements))
+    """Type tag of the group made of the given transformations."""
+    return _classify(np.array([m.matrix for m in elements]).reshape(-1, 2, 2))
 
 
 def closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteMoebiusGroup:
@@ -101,33 +102,32 @@ def closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteMoebiusGroup:
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    elements: list[MoebiusTransform] = [MoebiusTransform.identity()]
+    stack = np.empty((cap, 2, 2), dtype=complex)
+    stack[0] = np.eye(2)
+    size = 1
 
-    def register(m: MoebiusTransform) -> bool:
-        best = min(projective_distance(m, e) for e in elements)
+    def register(m: np.ndarray) -> bool:
+        nonlocal size
+        best = projective_gap(stack[:size], m).min()
         if best < PROJECTIVE_TOL:
             return False
         if best < 10 * PROJECTIVE_TOL:
             raise NumericalAmbiguity(
                 f"two elements at projective distance {best:.3e}; "
                 "tighten the generators")
-        elements.append(m)
-        if len(elements) > cap:
+        if size == cap:
             raise InfiniteGroup(f"closure exceeded {cap} elements")
+        stack[size] = m
+        size += 1
         return True
 
-    gens = [MoebiusTransform(g.matrix) for g in generators]
+    gens = [MoebiusTransform(g.matrix).matrix for g in generators]
     frontier = [g for g in gens if register(g)]
     while frontier:
-        fresh = []
-        for w in frontier:
-            for g in gens:
-                p = w.compose(g)
-                if register(p):
-                    fresh.append(p)
-        frontier = fresh
-    els = tuple(elements)
-    return FiniteMoebiusGroup(els, classify_elements(els))
+        products = (MoebiusTransform(w @ g).matrix for w in frontier for g in gens)
+        frontier = [p for p in products if register(p)]
+    stack = stack[:size].copy()
+    return FiniteMoebiusGroup(stack, _classify(stack))
 
 
 def from_type(tag: GroupType | str) -> FiniteMoebiusGroup:
@@ -138,20 +138,18 @@ def from_type(tag: GroupType | str) -> FiniteMoebiusGroup:
 
 
 def conjugate_group(g: FiniteMoebiusGroup, m: MoebiusTransform) -> FiniteMoebiusGroup:
-    """m G m^{-1}, element by element; the type tag is preserved."""
-    mi = m.inverse()
-    els = tuple(m.compose(e).compose(mi) for e in g.elements)
-    return FiniteMoebiusGroup(els, g.type_tag)
+    """m G m^{-1} as one product of stacks; the type tag is preserved."""
+    return FiniteMoebiusGroup(m.matrix @ g.stack @ m.inverse().matrix, g.type_tag)
 
 
 def averaged_hermitian_form(g: FiniteMoebiusGroup) -> np.ndarray:
     """H = mean of A^H A over the normalized lifts; positive definite Hermitian."""
-    stack = g.matrix_stack()
+    stack = g.stack
     h = np.mean(np.conj(np.transpose(stack, (0, 2, 1))) @ stack, axis=0)
     return (h + h.conj().T) / 2.0
 
 
-def unitarize(g: FiniteMoebiusGroup) -> Conjugator:
+def unitarize(g: FiniteMoebiusGroup) -> MoebiusTransform:
     """A transformation phi with phi G phi^{-1} projectively unitary.
 
     Factor the averaged form H = P^H P; invariance A^H H A = H then gives
@@ -159,14 +157,15 @@ def unitarize(g: FiniteMoebiusGroup) -> Conjugator:
     """
     h = averaged_hermitian_form(g)
     lower = np.linalg.cholesky(h)
-    return Conjugator(MoebiusTransform(lower.conj().T))
+    return MoebiusTransform(lower.conj().T)
 
 
 def is_in_SO3(g: FiniteMoebiusGroup, tol: float = 1e-8) -> bool:
     """Is every element projectively unitary, i.e. a rotation of the sphere?"""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    return all(m.unitarity_defect() < tol for m in g.elements)
+    s = g.stack
+    return bool(np.abs(np.conj(np.transpose(s, (0, 2, 1))) @ s - np.eye(2)).max() < tol)
 
 
 def _cluster_points(points: list[SpherePoint]) -> list[SpherePoint]:
@@ -190,25 +189,22 @@ def orbit_analysis(g: FiniteMoebiusGroup) -> OrbitData:
     The class formula |orbit| * stabilizer = |G| is validated for every
     orbit; orbits come back sorted by decreasing size.
     """
-    non_identity = [m for m in g.elements if not m.is_identity()]
+    elements = g.elements
+    non_identity = [m for m in elements if not m.is_identity()]
     if not non_identity:
         raise TrivialGroup("the trivial group fixes everything")
-    collected: list[SpherePoint] = []
-    for m in non_identity:
-        fp = fixed_points(m)
-        collected.extend(fp)
-    reps = _cluster_points(collected)
+    reps = _cluster_points([p for m in non_identity for p in fixed_points(m)])
     assigned = [False] * len(reps)
     orbits: list[Orbit] = []
     for k, rep in enumerate(reps):
         if assigned[k]:
             continue
         members: set[int] = set()
-        for m in g.elements:
+        for m in elements:
             members.add(_find_cluster(reps, m.apply(rep)))
         for idx in members:
             assigned[idx] = True
-        stab = sum(1 for m in g.elements
+        stab = sum(1 for m in elements
                    if chordal_distance(m.apply(rep), rep) < CLUSTER_TOL)
         orbit = Orbit(tuple(reps[i] for i in sorted(members)), stab)
         if len(orbit.points) * stab != g.order:
@@ -231,8 +227,10 @@ def random_conjugator(rng: np.random.Generator,
     """Random transformation with entries uniform in the unit disc.
 
     Draws are rejected while the normalized matrix is singular or has
-    condition number above ``max_condition``.
+    condition number above ``max_condition``, which must be at least 1.
     """
+    if not max_condition >= 1.0:
+        raise ValueError(f"max_condition must be at least 1, got {max_condition}")
     while True:
         flat = []
         while len(flat) < 4:
@@ -248,8 +246,7 @@ def random_conjugator(rng: np.random.Generator,
 
 
 def conjugator_well_defined(g: FiniteMoebiusGroup, trials: int = 3,
-                            seed: int = 0, samples: int = 200,
-                            max_condition: float = 100.0) -> float:
+                            seed: int = 0) -> float:
     """Spread between sphere metrics built through independent conjugators.
 
     Each trial moves the group by a random transformation, unitarizes the
@@ -267,14 +264,7 @@ def conjugator_well_defined(g: FiniteMoebiusGroup, trials: int = 3,
             f"{g.type_tag} is cyclic; the conjugated metric is not canonical")
     rng = np.random.default_rng(seed)
     rnd = round_metric()
-    metrics = []
-    for _ in range(trials):
-        m = random_conjugator(rng, max_condition)
-        moved = conjugate_group(g, m)
-        phi = unitarize(moved).phi
-        metrics.append(pullback(phi.compose(m), rnd))
-    worst = 0.0
-    for i in range(len(metrics)):
-        for j in range(i + 1, len(metrics)):
-            worst = max(worst, metric_distance(metrics[i], metrics[j], samples))
-    return worst
+    conjugators = [random_conjugator(rng, SPREAD_CONDITION) for _ in range(trials)]
+    metrics = [pullback(unitarize(conjugate_group(g, m)).compose(m), rnd) for m in conjugators]
+    return max(metric_distance(a, b, SPREAD_SAMPLES)
+               for a, b in itertools.combinations(metrics, 2))

@@ -138,7 +138,7 @@ def averaged_metric(g: FiniteMoebiusGroup) -> ConformalMetric:
     Invariant under g by construction and equal to the round metric when
     the group is already made of rotations.
     """
-    return ConformalMetric(g.matrix_stack(), provenance=f"average[{g.type_tag}]")
+    return ConformalMetric(g.stack, provenance=f"average[{g.type_tag}]")
 
 
 def conjugated_metric(g: FiniteMoebiusGroup) -> ConformalMetric:
@@ -151,7 +151,7 @@ def conjugated_metric(g: FiniteMoebiusGroup) -> ConformalMetric:
     if g.type_tag.is_cyclic:
         raise CyclicGroupUnsupported(
             f"{g.type_tag} is cyclic; the conjugated metric is not canonical")
-    return ConformalMetric(unitarize(g).phi.matrix, provenance=f"conjugate[{g.type_tag}]")
+    return ConformalMetric(unitarize(g).matrix, provenance=f"conjugate[{g.type_tag}]")
 
 
 def hermitian_metric(g: FiniteMoebiusGroup) -> ConformalMetric:
@@ -164,7 +164,7 @@ def hermitian_metric(g: FiniteMoebiusGroup) -> ConformalMetric:
     itself: the mean of its pullbacks is exactly invariant and still
     reduces to the round metric whenever the group lies in the rotations.
     """
-    return ConformalMetric(g.matrix_stack(), averaged_hermitian_form(g),
+    return ConformalMetric(g.stack, averaged_hermitian_form(g),
                            f"hermitian[{g.type_tag}]")
 
 
@@ -207,7 +207,8 @@ def _stencil_values(g, chart: str, coords, h):
     rho = g.rho if chart == "finite" else g.rho_at_infinity
     coords = np.atleast_1d(np.asarray(coords, dtype=complex))
     offsets = np.array([0.0, h, -h, 1j * h, -1j * h])
-    vals = np.asarray(rho(coords[None, :] + offsets[:, None]), dtype=float)
+    with np.errstate(all="ignore"):  # overflow is reported below, as the domain error
+        vals = np.asarray(rho(coords[None, :] + offsets[:, None]), dtype=float)
     if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
         raise StencilOutOfDomain("conformal factor undefined or non-positive "
                                  "on the finite-difference stencil")
@@ -277,10 +278,7 @@ def invariance_defect(g: ConformalMetric, grp: FiniteMoebiusGroup,
     p, r = _sample_points(samples)
     base = g._density(p, r)
     worst = 0.0
-    for el in grp.elements:
-        if el.is_identity():
-            continue
-        (a, b), (c, d) = el.matrix
+    for (a, b), (c, d) in grp.stack:
         moved = abs(a * d - b * c) ** 2 * g._density(a * p + b * r, c * p + d * r)
         worst = max(worst, float(np.max(np.abs(moved - base) / base)))
     return worst

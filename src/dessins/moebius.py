@@ -14,6 +14,7 @@ float: the sphere carries two charts, ``z`` and ``u = 1/z``.
 from __future__ import annotations
 
 import cmath
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +110,13 @@ class MoebiusTransform:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
+    @staticmethod
+    def from_normalized(matrix: np.ndarray) -> "MoebiusTransform":
+        """Wrap a read-only matrix of determinant 1 as it is, without normalizing it again."""
+        t = object.__new__(MoebiusTransform)
+        object.__setattr__(t, "matrix", matrix)
+        return t
+
     def __setattr__(self, name, value):
         raise AttributeError("MoebiusTransform is immutable")
 
@@ -202,8 +210,11 @@ class MoebiusTransform:
 
     @staticmethod
     def from_entries(entries) -> "MoebiusTransform":
-        if len(entries) != 4:
-            raise ValueError("expected four [re, im] pairs")
+        """Inverse of to_entries; anything but four [re, im] pairs of finite reals raises."""
+        if not (isinstance(entries, (list, tuple)) and len(entries) == 4
+                and all(isinstance(e, (list, tuple)) and len(e) == 2
+                        and all(_finite_real(x) for x in e) for e in entries)):
+            raise ValueError("expected four [re, im] pairs of finite real numbers")
         a, b, c, d = (complex(e[0], e[1]) for e in entries)
         return MoebiusTransform([[a, b], [c, d]])
 
@@ -212,41 +223,37 @@ class MoebiusTransform:
                 f"[{self.c:.6g}, {self.d:.6g}]])")
 
 
-FLIP = MoebiusTransform.inversion()  # chart transition z -> 1/z
+def _finite_real(x) -> bool:
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)  # exact for ints; False for nan
+
+
+def projective_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """min(max|a - b|, max|a + b|) over the last two axes, broadcast over the rest."""
+    return np.minimum(np.abs(a - b).max(axis=(-2, -1)), np.abs(a + b).max(axis=(-2, -1)))
 
 
 def projective_distance(m: MoebiusTransform, n: MoebiusTransform) -> float:
-    diff = min(np.abs(m.matrix - n.matrix).max(), np.abs(m.matrix + n.matrix).max())
-    return float(diff)
+    return float(projective_gap(m.matrix, n.matrix))
 
 
-def compose(m1: MoebiusTransform, m2: MoebiusTransform) -> MoebiusTransform:
-    return m1.compose(m2)
-
-
-def inverse(m: MoebiusTransform) -> MoebiusTransform:
-    return m.inverse()
-
-
-def apply(m: MoebiusTransform, point) -> SpherePoint:
-    return m.apply(point)
-
-
-def derivative(m: MoebiusTransform, z: complex) -> complex:
-    return m.derivative(z)
+def element_orders(stack: np.ndarray, cap: int = DEFAULT_ORDER_CAP) -> np.ndarray:
+    """Per matrix M of an (N, 2, 2) stack, the smallest n <= cap with M^n ~ I, else 0."""
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    orders = np.zeros(len(stack), dtype=int)
+    power = stack
+    for n in range(1, cap + 1):
+        orders[(orders == 0) & (projective_gap(power, np.eye(2)) < PROJECTIVE_TOL)] = n
+        if orders.all():
+            break
+        power = power @ stack
+    return orders
 
 
 def element_order(m: MoebiusTransform, cap: int = DEFAULT_ORDER_CAP) -> int | None:
     """Smallest n <= cap with m^n projectively the identity, else None."""
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    ident = MoebiusTransform.identity()
-    power = m
-    for n in range(1, cap + 1):
-        if power.projectively_equal(ident):
-            return n
-        power = power.compose(m)
-    return None
+    return int(element_orders(m.matrix[None], cap)[0]) or None
 
 
 class _AllPoints:
@@ -312,22 +319,20 @@ def from_triple(p0, p1, p_inf) -> MoebiusTransform:
     return MoebiusTransform(m)
 
 
-def standard_generators(t: GroupType, zeta: complex | None = None) -> list[MoebiusTransform]:
+def standard_generators(t: GroupType) -> list[MoebiusTransform]:
     """Rotation-group generators for each type, all projectively unitary.
 
-    The rotation factor defaults to exp(2*pi*i/n) for C_n and D_n and may
-    be overridden with any primitive n-th root.  The icosahedral pair uses
+    The rotation factor is exp(2*pi*i/n) for C_n and D_n.  The icosahedral pair uses
     the primitive fifth root delta = exp(2*pi*i/5) together with
     (z + q)/(q z - 1) for q = sqrt(1 - delta - 1/delta), taken on the
     principal branch; its closure has exactly 60 elements (test-verified,
     as are the closures of the other families).
     """
     if t.kind == "cyclic":
-        z = zeta if zeta is not None else cmath.exp(2j * cmath.pi / t.n)
-        return [MoebiusTransform.scaling(z)]
+        return [MoebiusTransform.scaling(cmath.exp(2j * cmath.pi / t.n))]
     if t.kind == "dihedral":
-        z = zeta if zeta is not None else cmath.exp(2j * cmath.pi / t.n)
-        return [MoebiusTransform.scaling(z), MoebiusTransform.inversion()]
+        return [MoebiusTransform.scaling(cmath.exp(2j * cmath.pi / t.n)),
+                MoebiusTransform.inversion()]
     if t.kind == "A4":
         j = cmath.exp(2j * cmath.pi / 3)
         s2 = cmath.sqrt(2)

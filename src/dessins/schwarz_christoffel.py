@@ -29,6 +29,8 @@ from .errors import BranchViolation, NoConvergence, OutsideButterfly
 from .moebius import INFINITY, MoebiusTransform, SpherePoint
 
 QUAD_TOL = 1e-12
+NEWTON_TOL = 1e-12  # residual of the inverse, relative to max(1, |w|)
+NEWTON_MAX_ITER = 100  # Newton steps per starting point
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
 
 _ANGLES = (np.pi / 2, np.pi / 3, np.pi / 6)
@@ -168,7 +170,7 @@ def _newton_starts(w: complex, d: "_MapData"):
     return seeds
 
 
-def sc_inverse(w, tol: float = 1e-12, max_iter: int = 100) -> complex:
+def sc_inverse(w) -> complex:
     """Damped-Newton inversion of the forward map onto the closed half-plane."""
     w = complex(w)
     d = _data()
@@ -176,8 +178,8 @@ def sc_inverse(w, tol: float = 1e-12, max_iter: int = 100) -> complex:
     for start in _newton_starts(w, d):
         z = start
         err = d.forward(z) - w
-        for _ in range(max_iter):
-            if abs(err) < tol * scale:
+        for _ in range(NEWTON_MAX_ITER):
+            if abs(err) < NEWTON_TOL * scale:
                 return z
             if abs(z) < 1e-12 or abs(z + 1.0) < 1e-12:
                 z += 1e-9 * (1 + 1j)  # step off the integrand singularity

@@ -101,7 +101,7 @@ def check_unitarization(seed: int = 0) -> CheckResult:
         groups = [base] + [conjugate_group(base, random_conjugator(rng, WIDE_CONDITION))
                            for _ in range(3)]
         for k, g in enumerate(groups):
-            moved = conjugate_group(g, unitarize(g).phi)
+            moved = conjugate_group(g, unitarize(g))
             if not is_in_SO3(moved, 1e-8):
                 worst = max(m.unitarity_defect() for m in moved.elements)
                 failures.append(f"{tag}#{k}: defect {worst:.2e}")

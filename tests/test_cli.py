@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -169,3 +170,37 @@ def test_metric_step_not_positive_exit_2(step, capsys):
 @pytest.mark.parametrize("samples", ["0", "-1"])
 def test_sc_demo_samples_below_one_exit_2(samples, capsys):
     _rejected(["sc-demo", "--samples", samples], capsys, "--samples")
+
+
+@pytest.mark.parametrize("text", [
+    "5",
+    '"abc"',
+    '{"elements": 3}',
+    "[[1, 2, 3, 4]]",
+    "[[[1], [0, 0], [0, 0], [1, 0]]]",
+    '[[["a", "b"], [0, 0], [0, 0], [1, 0]]]',
+    "[[[null, 0], [0, 0], [0, 0], [1, 0]]]",
+    "[[[true, 0], [0, 0], [0, 0], [1, 0]]]",
+    "[[[NaN, 0], [0, 0], [0, 0], [1, 0]]]",
+    "[[[1" + "0" * 400 + ", 0], [0, 0], [0, 0], [1, 0]]]",
+    "[[[1, 0], [0, 0], [0, 0]]]",
+    "[[[0, 0], [0, 0], [0, 0], [0, 0]]]",
+    # a translation by 1e-9 sits in the ambiguity band next to the identity
+    "[[[1, 0], [1e-9, 0], [0, 0], [1, 0]], [[1, 0], [0, 0], [0, 0], [1, 0]]]",
+])
+def test_metric_bad_generator_file_exit_2(text, tmp_path, capsys):
+    gens = tmp_path / "gens.json"
+    gens.write_text(text)
+    assert main(["metric", "--generators", str(gens), "--grid", "8",
+                 "--out", str(tmp_path / "g.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_metric_step_beyond_domain_exit_2(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning would add lines to stderr
+        code = main(["metric", "--group", "A4", "--step", "1e300", "--grid", "8",
+                 "--out", str(tmp_path / "g.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: StencilOutOfDomain: ") and err.count("\n") == 1

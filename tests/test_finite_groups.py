@@ -8,7 +8,7 @@ from dessins import finite_groups as fg
 from dessins import moebius as mb
 from dessins.errors import (CyclicGroupUnsupported, InfiniteGroup,
                             NumericalAmbiguity, TrivialGroup)
-from dessins.grouptypes import GroupType
+from dessins.grouptypes import GroupType, classify_census
 
 
 def test_closure_orders_and_tags():
@@ -60,7 +60,7 @@ def test_unitarize_fixes_nothing_for_rotation_groups():
     g = fg.from_type("D4")
     h = fg.averaged_hermitian_form(g)
     assert np.abs(h - np.eye(2)).max() < 1e-12
-    assert fg.unitarize(g).phi.is_identity()
+    assert fg.unitarize(g).is_identity()
 
 
 def test_unitarize_conjugated_groups():
@@ -69,7 +69,7 @@ def test_unitarize_conjugated_groups():
         base = fg.from_type(tag)
         m = fg.random_conjugator(rng)
         moved = fg.conjugate_group(base, m)
-        phi = fg.unitarize(moved).phi
+        phi = fg.unitarize(moved)
         fixed = fg.conjugate_group(moved, phi)
         assert fg.is_in_SO3(fixed, 1e-8), tag
         assert fixed.order == base.order
@@ -77,14 +77,14 @@ def test_unitarize_conjugated_groups():
 
 def test_unitarize_translated_c4():
     g = fg.conjugate_group(fg.from_type("C4"), mb.MoebiusTransform.translation(3.0))
-    fixed = fg.conjugate_group(g, fg.unitarize(g).phi)
+    fixed = fg.conjugate_group(g, fg.unitarize(g))
     assert max(m.unitarity_defect() for m in fixed.elements) < 1e-10
 
 
 def test_unitarize_scaled_s4_preserves_order():
     g = fg.conjugate_group(fg.from_type("S4"), mb.MoebiusTransform.scaling(2.0))
     assert not fg.is_in_SO3(g, 1e-8)
-    fixed = fg.conjugate_group(g, fg.unitarize(g).phi)
+    fixed = fg.conjugate_group(g, fg.unitarize(g))
     assert fg.is_in_SO3(fixed, 1e-8)
     assert fixed.order == 24
 
@@ -101,7 +101,7 @@ def test_census_invariant_under_unitarization():
     rng = np.random.default_rng(4)
     base = fg.from_type("S4")
     moved = fg.conjugate_group(base, fg.random_conjugator(rng))
-    phi = fg.unitarize(moved).phi
+    phi = fg.unitarize(moved)
     fixed = fg.conjugate_group(moved, phi)
     census = lambda g: Counter(mb.element_order(m) for m in g.elements)
     assert census(moved) == census(base) == census(fixed)
@@ -162,3 +162,73 @@ def test_random_conjugator_respects_condition_cap():
         m = fg.random_conjugator(rng, max_condition=5.0)
         assert np.linalg.cond(m.matrix) <= 5.0
         assert max(abs(x) for x in (m.a, m.b, m.c, m.d)) < 1e3
+
+
+def test_random_conjugator_rejects_condition_below_one():
+    with pytest.raises(ValueError):
+        fg.random_conjugator(np.random.default_rng(0), 0.5)
+
+
+# The per-element power walk and all-pairs commutator loop that the stack
+# invariants replaced, kept as their oracles.
+
+def _oracle_order(m, cap):
+    ident = mb.MoebiusTransform.identity()
+    power = m
+    for n in range(1, cap + 1):
+        if power.projectively_equal(ident):
+            return n
+        power = power.compose(m)
+    return 0
+
+
+def _oracle_abelian(elements):
+    for i, a in enumerate(elements):
+        for b in elements[i + 1:]:
+            if not a.compose(b).projectively_equal(b.compose(a)):
+                return False
+    return True
+
+
+def _oracle_tag(orders, abelian):
+    if 0 in orders:
+        return GroupType.other()
+    return classify_census(len(orders), dict(Counter(orders)), abelian)
+
+
+_ORACLE_TAGS = ["C1", "C2", "C5", "C12", "C60", "C140", "D2", "D3", "D6", "D15", "D50",
+                "A4", "S4", "A5"]
+
+
+@pytest.mark.parametrize("tag", _ORACLE_TAGS)
+def test_stack_invariants_match_per_element_oracle(tag):
+    rng = np.random.default_rng(sum(map(ord, tag)))
+    base = fg.from_type(tag)
+    assert str(base.type_tag) == tag
+    for g in (base, fg.conjugate_group(base, fg.random_conjugator(rng, 100.0))):
+        cap = max(mb.DEFAULT_ORDER_CAP, g.order)
+        orders = [_oracle_order(m, cap) for m in g.elements]
+        abelian = _oracle_abelian(g.elements)
+        assert mb.element_orders(g.stack, cap).tolist() == orders
+        assert fg.is_abelian(g.stack) == abelian
+        assert fg.classify_elements(g.elements) == _oracle_tag(orders, abelian) == base.type_tag
+        serialized = [mb.MoebiusTransform.from_entries(e) for e in g.to_json()["elements"]]
+        again = fg.closure(serialized)
+        assert (again.order, again.type_tag) == (g.order, g.type_tag)
+
+
+def test_conjugate_group_matches_per_element_oracle():
+    rng = np.random.default_rng(8)
+    for tag in ("D6", "S4", "A5"):
+        g = fg.from_type(tag)
+        m = fg.random_conjugator(rng, 100.0)
+        moved = fg.conjugate_group(g, m)
+        expected = np.array([m.compose(e).compose(m.inverse()).matrix for e in g.elements])
+        assert moved.stack.shape == (g.order, 2, 2)
+        assert float(mb.projective_gap(moved.stack, expected).max()) < 1e-12
+
+
+def test_group_stack_is_read_only():
+    g = fg.from_type("D3")
+    with pytest.raises(ValueError):
+        g.stack[0, 0, 0] = 2.0

@@ -202,7 +202,7 @@ def test_conjugated_metric_independent_of_preconjugation():
     for _ in range(2):
         m = fg.random_conjugator(rng)
         moved = fg.conjugate_group(base, m)
-        phi = fg.unitarize(moved).phi
+        phi = fg.unitarize(moved)
         metrics.append(mt.pullback(phi.compose(m), mt.round_metric()))
     assert mt.metric_distance(metrics[0], metrics[1], 200) < 1e-6
 

@@ -32,12 +32,12 @@ def test_apply_pole_and_values():
 
 def test_compose_and_inverse():
     m = mb.MoebiusTransform([[1, 1], [1, -1]])
-    assert mb.compose(mb.MoebiusTransform.identity(), m).projectively_equal(m)
-    assert mb.compose(m, m).is_identity()
+    assert mb.MoebiusTransform.identity().compose(m).projectively_equal(m)
+    assert m.compose(m).is_identity()
     zeta = cmath.exp(2j * cmath.pi / 7)
     s = mb.MoebiusTransform.scaling(zeta)
     assert s.inverse().projectively_equal(mb.MoebiusTransform.scaling(1 / zeta))
-    assert mb.compose(m, m.inverse()).is_identity()
+    assert m.compose(m.inverse()).is_identity()
 
 
 def test_derivative_values():
