@@ -25,7 +25,7 @@ from . import metrics as mt
 from . import schwarz_christoffel as sc
 from .errors import (CyclicGroupUnsupported, Disconnected, GenusMismatch,
                      MalformedInput, NotAPermutation, NumericalAmbiguity,
-                     StencilOutOfDomain)
+                     StencilOutOfDomain, UnsupportedType)
 from .finite_groups import (closure, conjugator_well_defined, is_in_SO3)
 from .grouptypes import parse_group_tag
 from .moebius import MoebiusTransform, standard_generators
@@ -93,7 +93,10 @@ def _load_group(args):
     if args.group:
         gens = standard_generators(parse_group_tag(args.group))
     elif args.generators:
-        data = json.loads(_read_text(args.generators))
+        try:
+            data = json.loads(_read_text(args.generators))
+        except RecursionError as exc:
+            raise MalformedInput("invalid JSON: nested too deeply") from exc
         entries = data["elements"] if isinstance(data, dict) else data
         if not isinstance(entries, list):
             raise MalformedInput("generators must be a list, or an object whose 'elements' is one")
@@ -249,7 +252,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (MalformedInput, NotAPermutation, Disconnected, NumericalAmbiguity,
-            StencilOutOfDomain) as exc:
+            StencilOutOfDomain, UnsupportedType) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except (json.JSONDecodeError, ValueError, KeyError) as exc:

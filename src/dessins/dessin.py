@@ -13,6 +13,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import permutations as perms
 from .errors import Disconnected, MalformedInput, NotAPermutation
 from .grouptypes import GroupType, classify_census
@@ -56,14 +58,42 @@ class TriangulatedMap:
     butterfly_pairs: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
 class PermGroup:
-    """A group of dart permutations, stored as an explicit element list."""
-    elements: tuple[tuple[int, ...], ...]
+    """A group of dart permutations as one read-only (order, n) int32 stack.
+
+    Rows are sorted by their image of dart 0 (stably), which for a group
+    acting freely, such as a dessin's automorphism group, is the
+    lexicographic order.  Equality compares the stacks.
+    """
+
+    __slots__ = ("stack",)
+
+    def __init__(self, elements):
+        stack = np.array(elements, dtype=np.int32, ndmin=2, copy=None)
+        if (stack[1:, 0] < stack[:-1, 0]).any():
+            stack = stack[np.argsort(stack[:, 0], kind="stable")]
+        stack.setflags(write=False)
+        object.__setattr__(self, "stack", stack)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PermGroup is immutable")
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.stack)
+
+    @property
+    def elements(self) -> tuple[tuple[int, ...], ...]:
+        """The stack's rows as permutation tuples, in stack order."""
+        return tuple(map(tuple, self.stack.tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PermGroup):
+            return NotImplemented
+        return np.array_equal(self.stack, other.stack)
+
+    def __repr__(self) -> str:
+        return f"PermGroup(order={self.order}, darts={self.stack.shape[1]})"
 
 
 def parse_dessin(text: str) -> Dessin:
@@ -77,6 +107,8 @@ def parse_dessin(text: str) -> Dessin:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise MalformedInput("invalid JSON: nested too deeply") from exc
     if not isinstance(data, dict):
         raise MalformedInput("top-level value must be an object")
     for key in ("darts", "sigma_white", "sigma_black"):
@@ -85,13 +117,18 @@ def parse_dessin(text: str) -> Dessin:
     n = data["darts"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise MalformedInput("'darts' must be a positive integer")
-    sigmas = []
-    for key in ("sigma_white", "sigma_black"):
+    keys = ("sigma_white", "sigma_black")
+    for key in keys:
         cycles = data[key]
         if not isinstance(cycles, list) or not all(isinstance(c, list) for c in cycles):
             raise MalformedInput(f"{key!r} must be a list of cycles")
-        sigmas.append(perms.from_cycles(cycles, n))
-    return Dessin(n, sigmas[0], sigmas[1])
+    # a dart in no cycle is fixed by both rotations, so it is cut off unless it is
+    # the only one; checked before n is used as a size
+    listed = sum(len(c) for key in keys for c in data[key])
+    if n > 1 and listed < n:
+        raise Disconnected(f"{n} darts but only {listed} labels in the cycles; "
+                           "an unlisted dart is fixed by both rotations")
+    return Dessin(n, *(perms.from_cycles(data[key], n) for key in keys))
 
 
 def genus(d: Dessin) -> int:
@@ -159,43 +196,75 @@ def triangulate(d: Dessin) -> TriangulatedMap:
     )
 
 
-def _extend_from_seed(sw, sb, target: int) -> tuple[int, ...] | None:
-    # A permutation commuting with both rotations is fixed by the image of
-    # one dart; propagate dart 0 -> target along the action and check
-    # consistency.
-    n = len(sw)
-    img = [-1] * n
-    img[0] = target
-    stack = [0]
-    while stack:
-        d = stack.pop()
-        for s in (sw, sb):
-            e = s[d]
-            fe = s[img[d]]
-            if img[e] == -1:
-                img[e] = fe
-                stack.append(e)
-            elif img[e] != fe:
-                return None
-    if -1 in img or len(set(img)) != n:
-        return None
-    return tuple(img)
+def _darts_like_dart_0(p: tuple[int, ...]) -> np.ndarray:
+    """Mask of the darts whose cycle under ``p`` is as long as the cycle through dart 0."""
+    cycles = perms.cycles(p)  # the first cycle is the one through dart 0
+    mask = np.zeros(len(p), dtype=bool)
+    mask[[d for c in cycles if len(c) == len(cycles[0]) for d in c]] = True
+    return mask
+
+
+def _move_rows(a: np.ndarray, to: list[int]) -> None:
+    """Move row r of ``a`` to row ``to[r]``, in place, one cycle of ``to`` at a time."""
+    moved = [False] * len(to)
+    for start in range(len(to)):
+        if moved[start]:
+            continue
+        r, carry = start, a[start].copy()
+        while not moved[r]:  # carry holds the old row r
+            moved[r] = True
+            r = to[r]
+            a[r], carry = carry, a[r].copy()
 
 
 def automorphisms(d: Dessin) -> PermGroup:
     """All dart permutations commuting with both rotations.
 
     For a connected dessin this centralizer acts freely, so each
-    automorphism is determined by the image of dart 0 and the group order
-    divides the dart count.
+    automorphism is fixed by the image of dart 0 and the group order
+    divides the dart count.  The candidate images of dart 0 are the darts
+    whose white, black and face cycles are as long as those through dart
+    0.  All candidates are propagated at once along a breadth-first walk
+    of dart 0: an edge to a new dart is one gather giving a new row of
+    images, an edge to a dart already reached is one comparison that
+    drops candidates.  Dropped candidates are compacted away once they
+    outnumber the kept ones, and the walk stops when only the identity
+    is left, so the rows grow beyond the output stack only while false
+    candidates are still dying.
     """
-    els = []
-    for target in range(d.dart_count):
-        img = _extend_from_seed(d.sigma_white, d.sigma_black, target)
-        if img is not None:
-            els.append(img)
-    els.sort()
-    return PermGroup(tuple(els))
+    n = d.dart_count
+    sigmas = (d.sigma_white, d.sigma_black)
+    rotations = tuple(np.array(s) for s in sigmas)
+    candidates = np.flatnonzero(_darts_like_dart_0(d.sigma_white)
+                                & _darts_like_dart_0(d.sigma_black)
+                                & _darts_like_dart_0(d.face_permutation))
+    images = np.array([candidates], dtype=np.int32)  # row r: images of walk[r]
+    alive = np.ones(len(candidates), dtype=bool)
+    rank = [-1] * n
+    rank[0] = 0
+    walk = [0]
+    for dart in walk:  # the walk grows while it is read
+        for rotation, sigma in zip(rotations, sigmas):
+            image = rotation[images[rank[dart]]]
+            e = sigma[dart]
+            if rank[e] >= 0:
+                alive &= image == images[rank[e]]
+                live = np.count_nonzero(alive)
+                if live == 1:  # only the identity
+                    return PermGroup(np.arange(n)[None])
+                if 2 * live < len(alive):
+                    images = images[:len(walk)].compress(alive, axis=1)
+                    alive = alive[alive]
+                continue
+            rank[e] = len(walk)
+            walk.append(e)
+            if len(images) < len(walk):
+                images.resize((min(2 * len(images), n), images.shape[1]), refcheck=False)
+            images[rank[e]] = image
+    if not alive.all():
+        images = images.compress(alive, axis=1)
+    _move_rows(images, walk)
+    return PermGroup(images.T)
 
 
 def brute_force_automorphisms(d: Dessin) -> PermGroup:
@@ -208,13 +277,63 @@ def brute_force_automorphisms(d: Dessin) -> PermGroup:
         if (perms.compose(cand, d.sigma_white) == perms.compose(d.sigma_white, cand)
                 and perms.compose(cand, d.sigma_black) == perms.compose(d.sigma_black, cand)):
             els.append(cand)
-    els.sort()
-    return PermGroup(tuple(els))
+    return PermGroup(els)
+
+
+def _base(stack: np.ndarray) -> list[int]:
+    """Points whose images tell the elements apart: dart 0, then greedily more.
+
+    Dart 0 alone suffices for a group acting freely, as a dessin's
+    automorphism group does; a point is added only if it splits elements
+    that the points before it do not.
+    """
+    base = [0]
+    keys, labels = np.unique(stack[:, 0], return_inverse=True)
+    for point in range(1, stack.shape[1]):
+        if len(keys) == len(stack):
+            break
+        split, split_labels = np.unique(labels * stack.shape[1] + stack[:, point],
+                                        return_inverse=True)
+        if len(split) > len(keys):
+            base.append(point)
+            keys, labels = split, split_labels
+    return base
+
+
+def _element_orders(stack: np.ndarray, base: list[int]) -> np.ndarray:
+    """Order of each element: the lcm of its cycle lengths through the base points.
+
+    One power walk of all (element, base point) pairs; a pair leaves the
+    walk when its point comes back.
+    """
+    rows = np.repeat(np.arange(len(stack)), len(base))
+    start = np.tile(np.asarray(base, dtype=stack.dtype), len(stack))
+    lengths = np.empty(len(rows), dtype=np.int64)
+    todo = np.arange(len(rows))
+    point = stack[rows, start]
+    step = 1
+    while len(todo):
+        back = point == start[todo]
+        lengths[todo[back]] = step
+        todo, point = todo[~back], point[~back]
+        point = stack[rows[todo], point]
+        step += 1
+    return np.lcm.reduce(lengths.reshape(len(stack), len(base)), axis=1)
+
+
+def _is_abelian(stack: np.ndarray, base: list[int]) -> bool:
+    """Do a.b and b.a agree on the base for all elements?  One row of products at a time."""
+    images = stack[:, base]
+    return all((a[images] == stack[:, a[base]]).all() for a in stack)
 
 
 def classify_perm_group(g: PermGroup) -> GroupType:
-    """Classify via order, element-order census and abelianness."""
-    census = dict(Counter(perms.order(p) for p in g.elements))
-    abelian = all(perms.compose(a, b) == perms.compose(b, a)
-                  for i, a in enumerate(g.elements) for b in g.elements[i + 1:])
+    """Classify via order, element-order census and abelianness, read off the images of a base.
+
+    A group with an element of full order is cyclic; only otherwise is
+    abelianness tested.
+    """
+    base = _base(g.stack)
+    census = dict(Counter(_element_orders(g.stack, base).tolist()))
+    abelian = g.order in census or _is_abelian(g.stack, base)
     return classify_census(g.order, census, abelian)

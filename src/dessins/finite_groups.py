@@ -85,6 +85,8 @@ def _classify(stack: np.ndarray) -> GroupType:
     orders = element_orders(stack, max(DEFAULT_ORDER_CAP, len(stack)))
     if not orders.all():
         return GroupType.other()
+    if (orders == len(stack)).any():  # an element of full order: cyclic, so abelian
+        return GroupType.cyclic(len(stack))
     return classify_census(len(stack), dict(Counter(orders.tolist())), is_abelian(stack))
 
 

@@ -40,7 +40,7 @@ import itertools
 
 import numpy as np
 
-from .errors import CyclicGroupUnsupported, StencilOutOfDomain
+from .errors import CyclicGroupUnsupported, StencilOutOfDomain, UnsupportedType
 from .finite_groups import (FiniteMoebiusGroup, averaged_hermitian_form,
                             orbit_analysis, unitarize)
 from .moebius import MoebiusTransform, as_sphere_point, from_triple
@@ -193,9 +193,14 @@ def orbit_triple_metric(g: FiniteMoebiusGroup) -> ConformalMetric:
     """Average of round-metric pullbacks over orbit-anchored transformations.
 
     Cyclic groups have no orbit triple and fall back to the round metric.
+    A group classified as none of the finite sphere groups has no three
+    orbits to anchor at and raises UnsupportedType.
     """
     if g.type_tag.is_cyclic:
         return ConformalMetric(np.eye(2), provenance=f"orbit-round-fallback[{g.type_tag}]")
+    if g.type_tag.kind == "other":
+        raise UnsupportedType("the orbit construction needs a dihedral, A4, S4 or A5 group, "
+                              f"got a group of order {g.order} of none of these types")
     return ConformalMetric(orbit_triple_matrices(g), provenance=f"orbit[{g.type_tag}]")
 
 

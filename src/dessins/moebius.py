@@ -80,7 +80,12 @@ def stereographic_inverse(q: SpherePoint) -> EuclideanSpherePoint:
     if q.is_infinity:
         return EuclideanSpherePoint(0j, 1.0)
     z = q.z
-    r2 = abs(z) ** 2
+    try:
+        r2 = abs(z) ** 2
+    except OverflowError:  # |z|^2 beyond the floats: evaluate through u = 1/z
+        u = 1.0 / z
+        s2 = abs(u) ** 2
+        return EuclideanSpherePoint(2 * u.conjugate() / (1.0 + s2), (1.0 - s2) / (1.0 + s2))
     return EuclideanSpherePoint(2 * z / (r2 + 1.0), (r2 - 1.0) / (r2 + 1.0))
 
 
@@ -103,7 +108,10 @@ class MoebiusTransform:
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError("expected a 2x2 matrix")
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        a, b, c, d = m.ravel().tolist()
+        det = a * d - b * c  # Python complex: overflows to inf or nan without a warning
+        if not abs(det.real) + abs(det.imag) <= sys.float_info.max:  # also false for nan
+            raise ValueError("matrix determinant overflows")
         if abs(det) < 1e-14:
             raise ValueError("matrix is singular")
         m = m / _canonical_sqrt(det)

@@ -1,8 +1,13 @@
+import io
 import json
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dessins import permutations as perms
 from dessins.cli import main
 
 EQUATOR = '{"darts":2,"sigma_white":[[1,2]],"sigma_black":[[1,2]]}'
@@ -201,6 +206,116 @@ def test_metric_step_beyond_domain_exit_2(tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # an overflow warning would add lines to stderr
         code = main(["metric", "--group", "A4", "--step", "1e300", "--grid", "8",
-                 "--out", str(tmp_path / "g.csv")]) == 2
+                     "--out", str(tmp_path / "g.csv")])
+    assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: StencilOutOfDomain: ") and err.count("\n") == 1
+
+
+def _run_quietly(argv):
+    """main(argv) with warnings as errors: (exit code, stdout, stderr).
+
+    A warning printed by numpy would add lines to stderr; as an error it
+    escapes main and fails the test like any other traceback.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_metric_orbit_on_huge_generator_entry(tmp_path):
+    # |z|^2 of a fixed point overflowed in stereographic_inverse (OverflowError)
+    gens = tmp_path / "gens.json"
+    gens.write_text("[[[-1.23,-1.19],[1e300,-0.32],[0.43,-1.48],[0.81,-0.88]]]")
+    code, _, err = _run_quietly(["metric", "--generators", str(gens), "--construction", "orbit",
+                                 "--grid", "8", "--out", str(tmp_path / "g.csv")])
+    assert code in (0, 2)
+    assert err.count("\n") == (code == 2)
+    assert "Traceback" not in err
+
+
+def test_metric_non_finite_determinant_one_line(tmp_path):
+    gens = tmp_path / "gens.json"
+    gens.write_text("[[[1e300,0],[0,0],[0,0],[1e300,0]]]")
+    code, _, err = _run_quietly(["metric", "--generators", str(gens), "--grid", "8",
+                                 "--out", str(tmp_path / "g.csv")])
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["info", "generators"])
+def test_deeply_nested_json_exit_2(flag, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    argv = (["info", str(path)] if flag == "info"
+            else ["metric", "--generators", str(path), "--grid", "8"])
+    code, _, err = _run_quietly(argv)
+    assert code == 2
+    assert err.startswith("error: MalformedInput: ") and err.count("\n") == 1
+
+
+def test_info_huge_dart_count_without_labels_exit_2(tmp_path):
+    # rejected from the labels before the dart count is used as a size
+    path = tmp_path / "huge.json"
+    path.write_text('{"darts": 100000000000000, "sigma_white": [[1, 2]], "sigma_black": []}')
+    code, _, err = _run_quietly(["info", str(path)])
+    assert code == 2
+    assert err.startswith("error: Disconnected: ") and err.count("\n") == 1
+
+
+def _cycles_1_based(p):
+    return [[d + 1 for d in c] for c in perms.cycles(p) if len(c) > 1]
+
+
+_LABELS = st.lists(st.lists(st.integers(min_value=-2, max_value=14), max_size=5), max_size=4)
+_JSONISH = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-3, max_value=14)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                  max_size=3),
+    max_leaves=10)
+
+
+@st.composite
+def info_files(draw):
+    """(kind, file text): valid dessins, bad labels, bad shapes, disconnected pairs, bad JSON."""
+    kind = draw(st.sampled_from(["valid", "labels", "shape", "disconnected", "text"]))
+    n = draw(st.integers(min_value=1, max_value=10))
+    if kind == "valid":  # may still be disconnected
+        sw, sb = (tuple(draw(st.permutations(range(n)))) for _ in range(2))
+        data = {"darts": n, "sigma_white": _cycles_1_based(sw),
+                "sigma_black": _cycles_1_based(sb)}
+    elif kind == "labels":  # repeats, zero, negative and out-of-range labels
+        data = {"darts": n, "sigma_white": draw(_LABELS), "sigma_black": draw(_LABELS)}
+    elif kind == "disconnected":  # two blocks of darts, each rotated on its own
+        k = draw(st.integers(min_value=1, max_value=n)) if n > 1 else 1
+        data = {"darts": n + k, "sigma_white": [list(range(1, n + 1))],
+                "sigma_black": [list(range(n + 1, n + k + 1))]}
+    elif kind == "shape":
+        keys = draw(st.sets(st.sampled_from(["darts", "sigma_white", "sigma_black"])))
+        data = {key: draw(_JSONISH) for key in keys}
+        if draw(st.booleans()):
+            data = draw(_JSONISH)
+    else:
+        valid = json.dumps({"darts": n, "sigma_white": [list(range(1, n + 1))],
+                            "sigma_black": []})
+        return kind, draw(st.text(max_size=30) | st.just(valid[:draw(st.integers(0, len(valid)))]))
+    return kind, json.dumps(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(info_files())
+def test_info_fuzz_exit_codes(tmp_path_factory, case):
+    kind, text = case
+    path = tmp_path_factory.getbasetemp() / "fuzz-dessin.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = _run_quietly(["info", str(path)])
+    assert code in (0, 2)
+    if code == 0:
+        assert err == "" and "automorphisms: order " in out
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    if kind == "disconnected":
+        assert code == 2 and "Disconnected" in err

@@ -1,11 +1,17 @@
+import json
+import time
+from collections import Counter
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dessins import dessin as dd
 from dessins import permutations as perms
+from dessins.cli import main
 from dessins.errors import Disconnected, MalformedInput, NotAPermutation
-from dessins.grouptypes import GroupType
+from dessins.grouptypes import GroupType, classify_census
 
 EQUATOR = '{"darts":2,"sigma_white":[[1,2]],"sigma_black":[[1,2]]}'
 SINGLE = '{"darts":1,"sigma_white":[],"sigma_black":[]}'
@@ -207,3 +213,171 @@ def test_automorphism_group_properties(d):
         assert perms.inverse(p) in els
     if d.dart_count <= 7:
         assert aut == dd.brute_force_automorphisms(d)
+
+
+# ---------------------------------------------------------------------------
+# Oracles for automorphisms and classify_perm_group: per-target propagation of
+# dart 0 and the all-pairs census and commutator classification.
+
+def _extend_from_seed(sw, sb, target: int):
+    # A permutation commuting with both rotations is fixed by the image of
+    # one dart; propagate dart 0 -> target along the action and check
+    # consistency.
+    n = len(sw)
+    img = [-1] * n
+    img[0] = target
+    stack = [0]
+    while stack:
+        d = stack.pop()
+        for s in (sw, sb):
+            e = s[d]
+            fe = s[img[d]]
+            if img[e] == -1:
+                img[e] = fe
+                stack.append(e)
+            elif img[e] != fe:
+                return None
+    if -1 in img or len(set(img)) != n:
+        return None
+    return tuple(img)
+
+
+def _oracle_automorphisms(d):
+    els = [img for t in range(d.dart_count)
+           if (img := _extend_from_seed(d.sigma_white, d.sigma_black, t)) is not None]
+    return dd.PermGroup(sorted(els))
+
+
+def _oracle_classify(g):
+    census = dict(Counter(perms.order(p) for p in g.elements))
+    abelian = all(perms.compose(a, b) == perms.compose(b, a)
+                  for i, a in enumerate(g.elements) for b in g.elements[i + 1:])
+    return classify_census(g.order, census, abelian)
+
+
+def _assert_matches_oracle(d):
+    aut = dd.automorphisms(d)
+    oracle = _oracle_automorphisms(d)
+    assert aut == oracle
+    assert aut.elements == oracle.elements
+    assert dd.classify_perm_group(aut) == _oracle_classify(oracle)
+    return aut
+
+
+def _relabel(sw, sb, rng):
+    p = [int(x) for x in rng.permutation(len(sw))]
+    inv = perms.inverse(p)
+    return dd.Dessin(len(sw), tuple(p[sw[inv[i]]] for i in range(len(p))),
+                     tuple(p[sb[inv[i]]] for i in range(len(p))))
+
+
+def _regular(elements, gens, times):
+    """Regular dessin of a group: darts are its elements, rotations multiply on the right."""
+    index = {x: i for i, x in enumerate(elements)}
+    return tuple(tuple(index[times(x, g)] for x in elements) for g in gens)
+
+
+def _dihedral_regular(n):
+    # r^i s^f . r^j s^g = r^(i + (-1)^f j) s^(f + g)
+    def times(x, y):
+        return ((x[0] + (y[0] if x[1] == 0 else -y[0])) % n, (x[1] + y[1]) % 2)
+    return _regular([(i, f) for f in (0, 1) for i in range(n)], [(1, 0), (0, 1)], times)
+
+
+def _abelian_regular(a, b):
+    def times(x, y):
+        return ((x[0] + y[0]) % a, (x[1] + y[1]) % b)
+    return _regular([(i, j) for i in range(a) for j in range(b)], [(1, 0), (0, 1)], times)
+
+
+def _random_transitive(n, rng):
+    while True:
+        sw = tuple(int(x) for x in rng.permutation(n))
+        sb = tuple(int(x) for x in rng.permutation(n))
+        if perms.is_transitive((sw, sb), n):
+            return sw, sb
+
+
+@st.composite
+def small_dessins(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    sw = tuple(draw(st.permutations(list(range(n)))))
+    kind = draw(st.sampled_from(["random", "power", "cycle"]))
+    if kind == "power":  # a power of a full cycle: many candidates survive the cycle lengths
+        k = draw(st.integers(min_value=0, max_value=n))
+        sw = tuple((i + 1) % n for i in range(n))
+        sb = tuple((i + k) % n for i in range(n))
+    else:
+        sb = tuple(draw(st.permutations(list(range(n)))))
+    if not perms.is_transitive((sw, sb), n):
+        sb = tuple((i + 1) % n for i in range(n))
+    return dd.Dessin(n, sw, sb)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_dessins())
+def test_automorphisms_and_classification_match_oracle_small(d):
+    _assert_matches_oracle(d)
+
+
+@pytest.mark.parametrize("kind, size", [
+    ("star", 150), ("cyclic", 150), ("dihedral", 150), ("abelian", (6, 4)),
+    ("abelian", (2, 2)), ("random", 150), ("random", 300),
+])
+def test_automorphisms_and_classification_match_oracle_large(kind, size):
+    rng = np.random.default_rng(17)
+    if kind == "star":
+        sw, sb = tuple((i + 1) % size for i in range(size)), perms.identity(size)
+    elif kind == "cyclic":
+        sw, sb = tuple((i + 1) % size for i in range(size)), tuple((i + 7) % size for i in range(size))
+    elif kind == "dihedral":
+        sw, sb = _dihedral_regular(size)
+    elif kind == "abelian":
+        sw, sb = _abelian_regular(*size)
+    else:
+        sw, sb = _random_transitive(size, rng)
+    d = _relabel(sw, sb, rng)
+    aut = _assert_matches_oracle(d)
+    if kind in ("star", "cyclic"):
+        assert dd.classify_perm_group(aut) == GroupType.cyclic(size)
+    elif kind == "dihedral":
+        assert dd.classify_perm_group(aut) == GroupType.dihedral(size)
+    elif kind == "abelian":
+        assert aut.order == size[0] * size[1]
+
+
+def test_classify_exceptional_groups_matches_oracle():
+    gens = [
+        ([[1, 2, 3]], [[1, 2], [3, 4]], 4),        # A4
+        ([[1, 2, 3, 4]], [[1, 2]], 4),             # S4
+        ([[1, 2, 3, 4, 5]], [[1, 2], [3, 4]], 5),  # A5
+        ([[1, 2, 3]], [[2, 3]], 3),                # D3
+        ([[1, 2], [3, 4]], [[1, 3], [2, 4]], 4),   # Klein
+        ([[1, 2, 3, 4]], [[1, 3]], 4),             # D4 on the square's corners
+    ]
+    for a, b, n in gens:
+        g = _perm_closure([perms.from_cycles(a, n), perms.from_cycles(b, n)], n)
+        assert dd.classify_perm_group(g) == _oracle_classify(g)
+
+
+def test_group_stack_is_read_only():
+    aut = dd.automorphisms(dd.parse_dessin(TORUS))
+    assert aut.stack.dtype == np.int32
+    assert aut.stack.shape == (aut.order, 4)
+    assert not aut.stack.flags.writeable
+    with pytest.raises(ValueError):
+        aut.stack[0, 0] = 1
+    with pytest.raises(AttributeError):
+        aut.stack = np.zeros((1, 4), dtype=np.int32)
+
+
+def test_info_on_1000_dart_star_is_fast(tmp_path, capsys):
+    # classification of this star was cubic in the dart count (about 69 s)
+    n = 1000
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps({"darts": n, "sigma_white": [list(range(1, n + 1))],
+                                "sigma_black": []}))
+    start = time.perf_counter()
+    assert main(["info", str(path)]) == 0
+    assert time.perf_counter() - start < 10.0
+    assert f"automorphisms: order {n}, type C{n}" in capsys.readouterr().out

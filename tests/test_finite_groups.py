@@ -232,3 +232,12 @@ def test_group_stack_is_read_only():
     g = fg.from_type("D3")
     with pytest.raises(ValueError):
         g.stack[0, 0, 0] = 2.0
+
+
+def test_cyclic_closure_skips_abelian_test(monkeypatch):
+    # an element of full order makes the group cyclic; the O(N^2) test would be wasted
+    def fail(stack):
+        raise AssertionError("is_abelian called on a cyclic group")
+    monkeypatch.setattr(fg, "is_abelian", fail)
+    assert fg.from_type("C140").type_tag == GroupType.cyclic(140)
+    assert fg.classify_elements(fg.from_type("C12").elements) == GroupType.cyclic(12)

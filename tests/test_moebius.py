@@ -1,4 +1,5 @@
 import cmath
+import warnings
 
 import numpy as np
 import pytest
@@ -180,3 +181,29 @@ def test_chain_rule(seed):
         lhs = m1.compose(m2).derivative(z)
         rhs = m1.derivative(w.z) * m2.derivative(z)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
+
+
+@pytest.mark.parametrize("z", [1e200, 1e300j, complex(-3e160, 2e160), complex(1.5e308, -1.5e308)])
+def test_stereographic_inverse_beyond_float_squares(z):
+    # |z|^2 overflows here; the point is evaluated through u = 1/z
+    p = mb.stereographic_inverse(mb.SpherePoint(z))
+    u = 1 / z
+    assert p.t == 1.0
+    assert abs(p.z - 2 * u.conjugate()) <= 1e-15 * abs(u)
+    assert mb.stereographic(p).is_infinity
+
+
+def test_stereographic_inverse_ordinary_points_unchanged():
+    for z in (0j, 0.3 + 0.4j, -2.5 + 7j, 1e150 + 1e150j):
+        r2 = abs(z) ** 2
+        p = mb.stereographic_inverse(mb.SpherePoint(z))
+        assert (p.z, p.t) == (2 * z / (r2 + 1.0), (r2 - 1.0) / (r2 + 1.0))
+
+
+def test_overflowing_determinant_rejected_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in ([[1e300, 0], [0, 1e300]], [[1e200, 1e200], [-1e200, 1e200]],
+                  [[1.3e154 + 1.3e154j, 0], [0, 1e154]]):  # |det| just above the floats
+            with pytest.raises(ValueError, match="determinant overflows"):
+                mb.MoebiusTransform(m)
