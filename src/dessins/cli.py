@@ -20,15 +20,18 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import dessin as dd
 from . import metrics as mt
 from . import schwarz_christoffel as sc
 from .errors import (CyclicGroupUnsupported, Disconnected, GenusMismatch,
                      MalformedInput, NotAPermutation, NumericalAmbiguity,
                      StencilOutOfDomain, UnsupportedType)
-from .finite_groups import (closure, conjugator_well_defined, is_in_SO3)
+from .finite_groups import (DEFAULT_CLOSURE_CAP, closure, conjugator_well_defined,
+                            is_in_SO3)
 from .grouptypes import parse_group_tag
-from .moebius import MoebiusTransform, standard_generators
+from .moebius import MoebiusTransform, element_orders, standard_generators
 from .verification import run_checks
 
 _CONSTRUCTIONS = {
@@ -101,6 +104,11 @@ def _load_group(args):
         if not isinstance(entries, list):
             raise MalformedInput("generators must be a list, or an object whose 'elements' is one")
         gens = [MoebiusTransform.from_entries(e) for e in entries]
+        orders = element_orders(np.array([m.matrix for m in gens]).reshape(-1, 2, 2),
+                                DEFAULT_CLOSURE_CAP)
+        if not orders.all():
+            raise MalformedInput(f"generator {int(np.argmin(orders)) + 1} has no finite "
+                                 f"order up to {DEFAULT_CLOSURE_CAP}")
     else:
         raise MalformedInput(
             "a Moebius realization is required: pass --group TAG or --generators FILE")

@@ -21,8 +21,8 @@ from .errors import (CyclicGroupUnsupported, InfiniteGroup, NumericalAmbiguity,
                      TrivialGroup)
 from .grouptypes import GroupType, classify_census, parse_group_tag
 from .moebius import (DEFAULT_ORDER_CAP, PROJECTIVE_TOL, MoebiusTransform,
-                      SpherePoint, chordal_distance, element_orders,
-                      fixed_points, projective_gap, standard_generators)
+                      SpherePoint, chordal_gap, element_orders, fixed_points,
+                      homogeneous, projective_gap, standard_generators)
 
 DEFAULT_CLOSURE_CAP = 200
 CLUSTER_TOL = 1e-8  # chordal distance identifying sphere points
@@ -170,45 +170,39 @@ def is_in_SO3(g: FiniteMoebiusGroup, tol: float = 1e-8) -> bool:
     return bool(np.abs(np.conj(np.transpose(s, (0, 2, 1))) @ s - np.eye(2)).max() < tol)
 
 
-def _cluster_points(points: list[SpherePoint]) -> list[SpherePoint]:
-    reps: list[SpherePoint] = []
-    for p in points:
-        if all(chordal_distance(p, r) >= CLUSTER_TOL for r in reps):
-            reps.append(p)
-    return reps
-
-
-def _find_cluster(reps, p: SpherePoint) -> int:
-    for k, r in enumerate(reps):
-        if chordal_distance(p, r) < CLUSTER_TOL:
-            return k
-    raise RuntimeError("group image of a fixed point missed every cluster")
-
-
 def orbit_analysis(g: FiniteMoebiusGroup) -> OrbitData:
     """Fixed points of the non-identity elements, grouped into orbits.
 
-    The class formula |orbit| * stabilizer = |G| is validated for every
-    orbit; orbits come back sorted by decreasing size.
+    Fixed points are clustered in order against the representatives kept
+    so far; the images of a representative under the whole stack, matched
+    against the representatives, give its orbit and its stabilizer.  The
+    class formula |orbit| * stabilizer = |G| is validated for every orbit;
+    orbits come back sorted by decreasing size.
     """
-    elements = g.elements
-    non_identity = [m for m in elements if not m.is_identity()]
-    if not non_identity:
+    moving = g.stack[projective_gap(g.stack, np.eye(2)) >= PROJECTIVE_TOL]
+    if not len(moving):
         raise TrivialGroup("the trivial group fixes everything")
-    reps = _cluster_points([p for m in non_identity for p in fixed_points(m)])
-    assigned = [False] * len(reps)
+    points = [p for m in moving for p in fixed_points(MoebiusTransform.from_normalized(m))]
+    reps: list[SpherePoint] = []
+    coords = np.empty((len(points), 2), dtype=complex)
+    for p in points:
+        v = homogeneous(p)
+        if (chordal_gap(coords[:len(reps)], v) >= CLUSTER_TOL).all():
+            coords[len(reps)] = v
+            reps.append(p)
+    coords = coords[:len(reps)]
+    assigned = np.zeros(len(reps), dtype=bool)
     orbits: list[Orbit] = []
-    for k, rep in enumerate(reps):
+    for k in range(len(reps)):
         if assigned[k]:
             continue
-        members: set[int] = set()
-        for m in elements:
-            members.add(_find_cluster(reps, m.apply(rep)))
-        for idx in members:
-            assigned[idx] = True
-        stab = sum(1 for m in elements
-                   if chordal_distance(m.apply(rep), rep) < CLUSTER_TOL)
-        orbit = Orbit(tuple(reps[i] for i in sorted(members)), stab)
+        hits = chordal_gap((g.stack @ coords[k])[:, None], coords) < CLUSTER_TOL
+        if not hits.any(axis=1).all():
+            raise RuntimeError("group image of a fixed point missed every cluster")
+        members = np.flatnonzero(np.bincount(hits.argmax(axis=1), minlength=len(reps)))
+        assigned[members] = True
+        stab = int(hits[:, k].sum())
+        orbit = Orbit(tuple(reps[i] for i in members), stab)
         if len(orbit.points) * stab != g.order:
             raise RuntimeError(
                 f"class formula violated: {len(orbit.points)} * {stab} != {g.order}")

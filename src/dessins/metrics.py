@@ -298,16 +298,6 @@ def metric_distance(g1: ConformalMetric, g2: ConformalMetric,
     return float(np.max(np.abs(a - b) / b))
 
 
-def chart_compatibility_defect(g: ConformalMetric, samples: int = 64) -> float:
-    """Max relative mismatch of rho(z) vs rho_inf(1/z)/|z|^4 on 0.5 <= |z| <= 2."""
-    radii = np.linspace(0.5, 2.0, 8)
-    angles = np.linspace(0.0, 2.0 * np.pi, max(2, samples // 8), endpoint=False)
-    z = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
-    lhs = g.rho(z)
-    rhs = g.rho_at_infinity(1.0 / z) / np.abs(z) ** 4
-    return float(np.max(np.abs(lhs - rhs) / rhs))
-
-
 # ---------------------------------------------------------------------------
 # report grid
 
@@ -330,8 +320,8 @@ def metric_grid_rows(g: ConformalMetric, n: int = 40,
     for chart in ("finite", "infinity"):
         vals = _stencil_values(g, chart, pts, step)
         curv = _laplacian_curvature(vals, step)
-        rows.extend((float(z.real), float(z.imag), chart, float(r), float(k))
-                    for z, r, k in zip(pts, vals[0], curv))
+        rows.extend(zip(pts.real.tolist(), pts.imag.tolist(), itertools.repeat(chart),
+                        vals[0].tolist(), curv.tolist()))
     return rows
 
 

@@ -8,7 +8,9 @@ non-negative (ties broken toward non-negative imaginary part), which makes
 representatives deterministic.
 
 The point at infinity is a first-class value (`INFINITY`), never a large
-float: the sphere carries two charts, ``z`` and ``u = 1/z``.
+float.  `homogeneous` is the one place a point becomes coordinates: ``(z, 1)``,
+or ``(1, 0)`` for infinity.  The action, the chordal distance and the map
+through three points are single formulas on those pairs.
 """
 
 from __future__ import annotations
@@ -51,42 +53,29 @@ def as_sphere_point(value) -> SpherePoint:
     return SpherePoint(complex(value))
 
 
-@dataclass(frozen=True)
-class EuclideanSpherePoint:
-    """Point (z, t) on the unit sphere in C x R, |z|^2 + t^2 = 1."""
-    z: complex
-    t: float
+def homogeneous(point) -> tuple[complex, complex]:
+    """Homogeneous coordinates of a sphere point: (z, 1), or (1, 0) for infinity."""
+    p = as_sphere_point(point)
+    return (1.0 + 0j, 0j) if p.is_infinity else (p.z, 1.0 + 0j)
 
-    def __post_init__(self):
-        if abs(abs(self.z) ** 2 + self.t ** 2 - 1.0) > 1e-12:
-            raise ValueError("point is not on the unit sphere")
+
+def chordal_gap(a, b) -> np.ndarray:
+    """Chordal distance 2|det(a, b)| / (|a| |b|) of homogeneous points.
+
+    Broadcast over leading axes; the pairs lie along the last one.  Each
+    pair is first divided by its largest real or imaginary part, so no
+    square overflows whatever the size of the coordinates.
+    """
+    a, b = (v / np.maximum(np.abs(v.real), np.abs(v.imag)).max(axis=-1, keepdims=True)
+            for v in (np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)))
+    det = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    norms = (a.real ** 2 + a.imag ** 2).sum(axis=-1) * (b.real ** 2 + b.imag ** 2).sum(axis=-1)
+    return 2.0 * np.abs(det) / np.sqrt(norms)
 
 
 def chordal_distance(p: SpherePoint, q: SpherePoint) -> float:
     """Straight-line distance between the points on the embedded unit sphere."""
-    a = stereographic_inverse(p)
-    b = stereographic_inverse(q)
-    return float(np.hypot(abs(a.z - b.z), a.t - b.t))
-
-
-def stereographic(p: EuclideanSpherePoint) -> SpherePoint:
-    """Projection from the north pole: (z, t) -> z / (1 - t)."""
-    if p.t >= 1.0 - 1e-15:
-        return INFINITY
-    return SpherePoint(p.z / (1.0 - p.t))
-
-
-def stereographic_inverse(q: SpherePoint) -> EuclideanSpherePoint:
-    if q.is_infinity:
-        return EuclideanSpherePoint(0j, 1.0)
-    z = q.z
-    try:
-        r2 = abs(z) ** 2
-    except OverflowError:  # |z|^2 beyond the floats: evaluate through u = 1/z
-        u = 1.0 / z
-        s2 = abs(u) ** 2
-        return EuclideanSpherePoint(2 * u.conjugate() / (1.0 + s2), (1.0 - s2) / (1.0 + s2))
-    return EuclideanSpherePoint(2 * z / (r2 + 1.0), (r2 - 1.0) / (r2 + 1.0))
+    return float(chordal_gap(homogeneous(p), homogeneous(q)))
 
 
 # ---------------------------------------------------------------------------
@@ -168,19 +157,12 @@ class MoebiusTransform:
 
     def apply(self, point) -> SpherePoint:
         """Total action on the sphere; poles go to infinity."""
-        p = as_sphere_point(point)
-        if p.is_infinity:
-            if self.c == 0:
-                return INFINITY
-            return SpherePoint(self.a / self.c)
-        num = self.a * p.z + self.b
-        den = self.c * p.z + self.d
+        p, r = homogeneous(point)
+        den = self.c * p + self.d * r
         if den == 0:
             return INFINITY
-        w = num / den
-        if not (cmath.isfinite(w)):
-            return INFINITY
-        return SpherePoint(w)
+        w = (self.a * p + self.b * r) / den
+        return SpherePoint(w) if cmath.isfinite(w) else INFINITY
 
     def __call__(self, point) -> SpherePoint:
         return self.apply(point)
@@ -251,11 +233,12 @@ def element_orders(stack: np.ndarray, cap: int = DEFAULT_ORDER_CAP) -> np.ndarra
         raise ValueError("cap must be at least 1")
     orders = np.zeros(len(stack), dtype=int)
     power = stack
-    for n in range(1, cap + 1):
-        orders[(orders == 0) & (projective_gap(power, np.eye(2)) < PROJECTIVE_TOL)] = n
-        if orders.all():
-            break
-        power = power @ stack
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing power is no identity
+        for n in range(1, cap + 1):
+            orders[(orders == 0) & (projective_gap(power, np.eye(2)) < PROJECTIVE_TOL)] = n
+            if orders.all():
+                break
+            power = power @ stack
     return orders
 
 
@@ -301,29 +284,22 @@ def fixed_points(m: MoebiusTransform):
     return (SpherePoint(z1), SpherePoint(z2))
 
 
+def _det(v, w) -> complex:
+    return v[0] * w[1] - v[1] * w[0]
+
+
 def from_triple(p0, p1, p_inf) -> MoebiusTransform:
-    """The unique transformation sending 0, 1, infinity to the given points."""
-    pts = [as_sphere_point(p) for p in (p0, p1, p_inf)]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if pts[i].is_infinity and pts[j].is_infinity:
-                raise DegenerateTriple("two target points coincide (infinity)")
-            if (not pts[i].is_infinity and not pts[j].is_infinity
-                    and pts[i].z == pts[j].z):
-                raise DegenerateTriple(f"two target points coincide ({pts[i].z})")
-    a, b, c = pts
-    if a.is_infinity:
-        m = [[c.z, b.z - c.z], [1.0, 0.0]]
-    elif b.is_infinity:
-        m = [[c.z, -a.z], [1.0, -1.0]]
-    elif c.is_infinity:
-        m = [[b.z - a.z, a.z], [0.0, 1.0]]
-    else:
-        m = [[c.z * (b.z - a.z), a.z * (c.z - b.z)],
-             [b.z - a.z, c.z - b.z]]
-    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if abs(det) < 1e-14:
-        raise DegenerateTriple("target points are numerically indistinct")
+    """The unique transformation sending 0, 1, infinity to the given points.
+
+    With homogeneous targets a, b, c its columns are det(b, a) c and
+    det(c, b) a: the first column is the image of infinity, the second that
+    of 0, and their sum is -det(a, c) b, the image of 1.
+    """
+    a, b, c = (homogeneous(p) for p in (p0, p1, p_inf))
+    u, v = _det(b, a), _det(c, b)
+    m = [[u * c[0], v * a[0]], [u * c[1], v * a[1]]]
+    if abs(_det(*m)) < 1e-14:  # det(b, a) det(c, b) det(c, a): zero when two targets coincide
+        raise DegenerateTriple("target points coincide or are numerically indistinct")
     return MoebiusTransform(m)
 
 

@@ -1,3 +1,4 @@
+import cmath
 import io
 import json
 import warnings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from dessins import permutations as perms
 from dessins.cli import main
+from dessins.moebius import MoebiusTransform
 
 EQUATOR = '{"darts":2,"sigma_white":[[1,2]],"sigma_black":[[1,2]]}'
 TORUS = '{"darts":4,"sigma_white":[[1,2,3,4]],"sigma_black":[[1,2,3,4]]}'
@@ -190,7 +192,7 @@ def test_sc_demo_samples_below_one_exit_2(samples, capsys):
     "[[[1" + "0" * 400 + ", 0], [0, 0], [0, 0], [1, 0]]]",
     "[[[1, 0], [0, 0], [0, 0]]]",
     "[[[0, 0], [0, 0], [0, 0], [0, 0]]]",
-    # a translation by 1e-9 sits in the ambiguity band next to the identity
+    # a translation by 1e-9 has no finite order
     "[[[1, 0], [1e-9, 0], [0, 0], [1, 0]], [[1, 0], [0, 0], [0, 0], [1, 0]]]",
 ])
 def test_metric_bad_generator_file_exit_2(text, tmp_path, capsys):
@@ -225,14 +227,45 @@ def _run_quietly(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+@pytest.mark.parametrize("construction", ["average", "conjugate", "hermitian", "orbit"])
+@pytest.mark.parametrize("text", [
+    "[[[1,0],[1,0],[0,0],[1,0]]]",  # translation
+    "[[[2,0],[0,0],[0,0],[1,0]]]",  # scaling
+    "[[[-1.23,-1.19],[1e300,-0.32],[0.43,-1.48],[0.81,-0.88]]]",
+    "[[[1e150,0],[1e150,0],[0,0],[1e-150,0]]]",  # its powers overflow
+])
+def test_metric_generator_of_infinite_order_exit_2(text, construction, tmp_path):
+    # rejected before closing, instead of an InfiniteGroup traceback or a metric of overflows
+    gens = tmp_path / "gens.json"
+    gens.write_text(text)
+    code, _, err = _run_quietly(["metric", "--generators", str(gens), "--construction",
+                                 construction, "--grid", "8", "--out", str(tmp_path / "g.csv")])
+    assert code == 2
+    assert err == "error: MalformedInput: generator 1 has no finite order up to 200\n"
+
+
+def test_metric_generators_in_ambiguity_band_exit_2(tmp_path):
+    # both of order 8; products land in the band next to the dedup tolerance
+    rot = MoebiusTransform.scaling(cmath.exp(2j * cmath.pi / 8))
+    shift = MoebiusTransform.translation(3e-9)
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps([rot.to_entries(),
+                                shift.compose(rot).compose(shift.inverse()).to_entries()]))
+    code, _, err = _run_quietly(["metric", "--generators", str(gens), "--grid", "8",
+                                 "--out", str(tmp_path / "g.csv")])
+    assert code == 2
+    assert err.startswith("error: NumericalAmbiguity: ") and err.count("\n") == 1
+
+
 def test_metric_orbit_on_huge_generator_entry(tmp_path):
-    # |z|^2 of a fixed point overflowed in stereographic_inverse (OverflowError)
+    # |z|^2 of a fixed point overflowed in the chordal distance (OverflowError); the
+    # generator has no finite order, so the file is now rejected before closing
     gens = tmp_path / "gens.json"
     gens.write_text("[[[-1.23,-1.19],[1e300,-0.32],[0.43,-1.48],[0.81,-0.88]]]")
     code, _, err = _run_quietly(["metric", "--generators", str(gens), "--construction", "orbit",
                                  "--grid", "8", "--out", str(tmp_path / "g.csv")])
-    assert code in (0, 2)
-    assert err.count("\n") == (code == 2)
+    assert code == 2
+    assert err.count("\n") == 1
     assert "Traceback" not in err
 
 

@@ -9,6 +9,7 @@ from dessins import moebius as mb
 from dessins.errors import (CyclicGroupUnsupported, InfiniteGroup,
                             NumericalAmbiguity, TrivialGroup)
 from dessins.grouptypes import GroupType, classify_census
+from test_moebius import _oracle_chordal_distance
 
 
 def test_closure_orders_and_tags():
@@ -241,3 +242,45 @@ def test_cyclic_closure_skips_abelian_test(monkeypatch):
     monkeypatch.setattr(fg, "is_abelian", fail)
     assert fg.from_type("C140").type_tag == GroupType.cyclic(140)
     assert fg.classify_elements(fg.from_type("C12").elements) == GroupType.cyclic(12)
+
+
+# The seed's point-by-point orbit analysis (fixed points clustered by linear
+# scans with the stereographic chordal distance, each orbit and stabilizer by
+# applying every element), kept as the oracle of the stack version.
+
+def _oracle_orbit_analysis(g):
+    def close(p, q):
+        return _oracle_chordal_distance(p, q) < fg.CLUSTER_TOL
+
+    def find(reps, p):
+        return next(k for k, r in enumerate(reps) if close(p, r))
+
+    elements = g.elements
+    reps = []
+    for p in (p for m in elements if not m.is_identity() for p in mb.fixed_points(m)):
+        if not any(close(p, r) for r in reps):
+            reps.append(p)
+    assigned = [False] * len(reps)
+    orbits = []
+    for k, rep in enumerate(reps):
+        if assigned[k]:
+            continue
+        members = {find(reps, m.apply(rep)) for m in elements}
+        for idx in members:
+            assigned[idx] = True
+        stab = sum(1 for m in elements if close(m.apply(rep), rep))
+        orbits.append(fg.Orbit(tuple(reps[i] for i in sorted(members)), stab))
+    orbits.sort(key=lambda o: len(o.points), reverse=True)
+    return fg.OrbitData(tuple(orbits), g.order)
+
+
+@pytest.mark.parametrize("tag", ["C2", "C5", "C60", "C140", "D2", "D3", "D6", "D15", "D50",
+                                 "D100", "A4", "S4", "A5"])
+def test_orbit_analysis_matches_point_by_point_oracle(tag):
+    rng = np.random.default_rng(sum(map(ord, tag)))
+    base = fg.from_type(tag)
+    moved = [fg.conjugate_group(base, fg.random_conjugator(rng, c)) for c in (2.5, 100.0, 100.0)]
+    for g in [base] + moved:
+        data = fg.orbit_analysis(g)
+        assert repr(data) == repr(_oracle_orbit_analysis(g))  # bit-identical points
+        assert fg.burnside_consistent(data)

@@ -80,29 +80,11 @@ def test_from_triple_random_triples():
 
 
 def test_from_triple_degenerate():
-    with pytest.raises(DegenerateTriple):
-        mb.from_triple(1.0, 1.0, mb.INFINITY)
-    with pytest.raises(DegenerateTriple):
-        mb.from_triple(mb.INFINITY, 1.0, mb.INFINITY)
-
-
-def test_stereographic_reference_points():
-    assert mb.stereographic(mb.EuclideanSpherePoint(0j, 1.0)).is_infinity
-    assert abs(mb.stereographic(mb.EuclideanSpherePoint(0j, -1.0)).z) < 1e-15
-    assert abs(mb.stereographic(mb.EuclideanSpherePoint(1.0 + 0j, 0.0)).z - 1.0) < 1e-15
-    with pytest.raises(ValueError):
-        mb.EuclideanSpherePoint(1.0 + 0j, 0.5)
-
-
-def test_stereographic_round_trip():
-    rng = np.random.default_rng(2)
-    for _ in range(100):
-        v = rng.normal(size=3)
-        v /= np.linalg.norm(v)
-        p = mb.EuclideanSpherePoint(complex(v[0], v[1]), float(v[2]))
-        q = mb.stereographic_inverse(mb.stereographic(p))
-        assert abs(q.z - p.z) < 1e-10 and abs(q.t - p.t) < 1e-10
-    assert mb.stereographic(mb.stereographic_inverse(mb.INFINITY)).is_infinity
+    for triple in [(1.0, 1.0, mb.INFINITY), (mb.INFINITY, 1.0, mb.INFINITY),
+                   (2j, 0.5, 2j), (mb.INFINITY, mb.INFINITY, 3.0), (0.0, 1e-15, 1.0),
+                   (1e100j, 1e100j, 1.0)]:
+        with pytest.raises(DegenerateTriple):
+            mb.from_triple(*triple)
 
 
 def test_element_order():
@@ -183,23 +165,6 @@ def test_chain_rule(seed):
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
 
-@pytest.mark.parametrize("z", [1e200, 1e300j, complex(-3e160, 2e160), complex(1.5e308, -1.5e308)])
-def test_stereographic_inverse_beyond_float_squares(z):
-    # |z|^2 overflows here; the point is evaluated through u = 1/z
-    p = mb.stereographic_inverse(mb.SpherePoint(z))
-    u = 1 / z
-    assert p.t == 1.0
-    assert abs(p.z - 2 * u.conjugate()) <= 1e-15 * abs(u)
-    assert mb.stereographic(p).is_infinity
-
-
-def test_stereographic_inverse_ordinary_points_unchanged():
-    for z in (0j, 0.3 + 0.4j, -2.5 + 7j, 1e150 + 1e150j):
-        r2 = abs(z) ** 2
-        p = mb.stereographic_inverse(mb.SpherePoint(z))
-        assert (p.z, p.t) == (2 * z / (r2 + 1.0), (r2 - 1.0) / (r2 + 1.0))
-
-
 def test_overflowing_determinant_rejected_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -207,3 +172,72 @@ def test_overflowing_determinant_rejected_without_warning():
                   [[1.3e154 + 1.3e154j, 0], [0, 1e154]]):  # |det| just above the floats
             with pytest.raises(ValueError, match="determinant overflows"):
                 mb.MoebiusTransform(m)
+
+
+# The seed's branchy from_triple and stereographic chordal distance, kept as
+# oracles for the homogeneous-coordinate versions.
+
+def _oracle_from_triple(p0, p1, p_inf):
+    a, b, c = (mb.as_sphere_point(p) for p in (p0, p1, p_inf))
+    if a.is_infinity:
+        m = [[c.z, b.z - c.z], [1.0, 0.0]]
+    elif b.is_infinity:
+        m = [[c.z, -a.z], [1.0, -1.0]]
+    elif c.is_infinity:
+        m = [[b.z - a.z, a.z], [0.0, 1.0]]
+    else:
+        m = [[c.z * (b.z - a.z), a.z * (c.z - b.z)], [b.z - a.z, c.z - b.z]]
+    return mb.MoebiusTransform(m)
+
+
+def _oracle_sphere_embedding(p):
+    """(z, t) on the unit sphere in C x R; through u = 1/z where |z|^2 overflows."""
+    if p.is_infinity:
+        return 0j, 1.0
+    try:
+        r2 = abs(p.z) ** 2
+    except OverflowError:
+        u = 1.0 / p.z
+        s2 = abs(u) ** 2
+        return 2 * u.conjugate() / (1.0 + s2), (1.0 - s2) / (1.0 + s2)
+    return 2 * p.z / (r2 + 1.0), (r2 - 1.0) / (r2 + 1.0)
+
+
+def _oracle_chordal_distance(p, q):
+    (z1, t1), (z2, t2) = _oracle_sphere_embedding(p), _oracle_sphere_embedding(q)
+    return float(np.hypot(abs(z1 - z2), t1 - t2))
+
+
+def test_from_triple_matches_oracle_up_to_sign():
+    rng = np.random.default_rng(17)
+    for k in range(400):
+        pts = [complex(*rng.uniform(-3, 3, 2)) for _ in range(3)]
+        if k % 4 < 3:
+            pts[k % 4] = mb.INFINITY  # infinity in each slot in turn
+        got, want = mb.from_triple(*pts).matrix, _oracle_from_triple(*pts).matrix
+        assert np.array_equal(got, want) or np.array_equal(got, -want)
+
+
+_HUGE = [1e200, 1e300j, complex(-3e160, 2e160), complex(1.5e308, -1.5e308),
+         complex(-1.5e308, 1.5e308)]
+
+
+@pytest.mark.parametrize("z", _HUGE)
+def test_chordal_distance_beyond_float_squares(z):
+    others = [mb.INFINITY, 0j, 0.3 - 2j, 1e150 + 1e150j] + _HUGE
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for w in others:
+            p, q = mb.SpherePoint(z), mb.as_sphere_point(w)
+            got, want = mb.chordal_distance(p, q), _oracle_chordal_distance(p, q)
+            assert abs(got - want) <= 1e-14 * want + 1e-300
+            assert mb.chordal_distance(q, p) == got
+
+
+def test_chordal_distance_matches_oracle():
+    rng = np.random.default_rng(4)
+    pts = [mb.INFINITY] + [mb.SpherePoint(complex(*rng.normal(size=2)) * 10.0 ** e)
+                           for e in rng.integers(-5, 6, 60)]
+    for p in pts:
+        for q in pts:
+            assert abs(mb.chordal_distance(p, q) - _oracle_chordal_distance(p, q)) < 1e-14
