@@ -133,10 +133,7 @@ def cmd_metric(args) -> int:
 
     rows = mt.metric_grid_rows(metric, n=args.grid, step=args.step)
     out_path = args.out or f"metric_grid.{args.format}"
-    if args.format == "csv":
-        payload = mt.format_grid_csv(rows)
-    else:
-        payload = json.dumps(mt.grid_rows_as_json(rows), sort_keys=True, indent=1) + "\n"
+    payload = mt.format_grid_csv(rows) if args.format == "csv" else mt.format_grid_json(rows)
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(payload)
 
@@ -229,8 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="JSON file with generator matrices")
     p_metric.add_argument("--construction", default="conjugate",
                           choices=sorted(_CONSTRUCTIONS))
-    p_metric.add_argument("--grid", type=_bounded(int, 2), default=40, metavar="N",
-                          help="grid points per axis, at least 2")
+    p_metric.add_argument("--grid", type=_bounded(int, 3), default=40, metavar="N",
+                          help="grid points per axis, at least 3")
     p_metric.add_argument("--step", type=_bounded(float, 0.0, strict=True), default=1e-3,
                           metavar="H", help="finite-difference curvature step, positive")
     p_metric.add_argument("--seed", type=int, default=0)

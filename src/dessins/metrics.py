@@ -37,6 +37,8 @@ Constructions:
 from __future__ import annotations
 
 import itertools
+import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -221,9 +223,14 @@ def _stencil_values(g, chart: str, coords, h):
 
 
 def _laplacian_curvature(vals, h):
-    u = 0.5 * np.log(vals)
-    lap = (u[1] + u[2] + u[3] + u[4] - 4.0 * u[0]) / (h * h)
-    return -lap / vals[0]
+    with np.errstate(all="ignore"):  # h * h underflows for tiny steps; reported below
+        u = 0.5 * np.log(vals)
+        lap = (u[1] + u[2] + u[3] + u[4] - 4.0 * u[0]) / (h * h)
+        curv = -lap / vals[0]
+    if not np.all(np.isfinite(curv)):
+        raise StencilOutOfDomain("curvature not finite on the finite-difference stencil "
+                                 "(step too small?)")
+    return curv
 
 
 def curvature_samples(g, chart: str, coords, step: float = DEFAULT_CURVATURE_STEP):
@@ -326,13 +333,52 @@ def metric_grid_rows(g: ConformalMetric, n: int = 40,
 
 
 GRID_HEADER = "re,im,chart,rho,curvature"
+_JSON_ROW = ' {\n  "chart": %s,\n  "curvature": %s,\n  "im": %s,\n  "re": %s,\n  "rho": %s\n }'
+
+
+class _Memo(dict):
+    """fmt(x) looked up per distinct x; a grid has only n distinct re and im values.
+
+    Zeros are never stored: 0.0 == -0.0 as keys, but they format apart.
+    A NaN never equals a stored key, so each one formats itself.
+    """
+
+    def __init__(self, fmt):
+        super().__init__()
+        self.fmt = fmt
+
+    def __missing__(self, x):
+        text = self.fmt(x)
+        if x:
+            self[x] = text
+        return text
+
+
+def _json_float(x) -> str:
+    """x as json.dumps writes it (float.__repr__ keeps np.float64 plain)."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
 
 
 def format_grid_csv(rows) -> str:
-    lines = [GRID_HEADER]
-    for re_, im_, chart, rho, curv in rows:
-        lines.append(f"{re_:.17g},{im_:.17g},{chart},{rho:.17g},{curv:.17g}")
-    return "\n".join(lines) + "\n"
+    """Grid rows as CSV, floats with 17 significant digits."""
+    coord = _Memo("{:.17g}".format)
+    lines = [f"{coord[re_]},{coord[im_]},{chart},{rho:.17g},{curv:.17g}\n"
+             for re_, im_, chart, rho, curv in rows]
+    lines.insert(0, GRID_HEADER + "\n")  # one list and one join: no second copy of the text
+    return "".join(lines)
+
+
+def format_grid_json(rows) -> str:
+    """Grid rows as json.dumps(grid_rows_as_json(rows), sort_keys=True, indent=1) + newline."""
+    if not rows:
+        return "[]\n"
+    coord, chart_text = _Memo(_json_float), _Memo(encode_basestring_ascii)
+    return "[\n" + ",\n".join([
+        _JSON_ROW % (chart_text[chart], _json_float(curv), coord[im_], coord[re_],
+                     _json_float(rho))
+        for re_, im_, chart, rho, curv in rows]) + "\n]\n"
 
 
 def grid_rows_as_json(rows) -> list[dict]:

@@ -8,6 +8,7 @@ brute-force oracles, and the triangle map's geometry.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass
 
@@ -256,13 +257,23 @@ def check_so3_coincidence() -> CheckResult:
 
 
 def check_grid_determinism() -> CheckResult:
-    def build() -> str:
+    def build():
         g = from_type("A4")
         metric = mt.averaged_metric(conjugate_group(g, MoebiusTransform.translation(1 + 1j)))
-        return mt.format_grid_csv(mt.metric_grid_rows(metric, n=12))
-    ok = build() == build()
+        rows = mt.metric_grid_rows(metric, n=12)
+        return rows, mt.format_grid_csv(rows), mt.format_grid_json(rows)
+    rows, csv_text, json_text = build()
+    failures = []
+    if build()[1:] != (csv_text, json_text):
+        failures.append("runs differ")
+    parsed = [(e["re"], e["im"], e["chart"], e["rho"], e["curvature"])
+              for e in json.loads(json_text)]
+    if parsed != rows:
+        failures.append("JSON grid does not parse back to the rows")
+    ok = not failures
     return CheckResult(10, "grid emission is byte-deterministic", ok,
-                       "two from-scratch runs identical" if ok else "runs differ")
+                       "two from-scratch runs identical as CSV and as JSON, and the JSON "
+                       "parses back to the rows" if ok else "; ".join(failures))
 
 
 # ---------------------------------------------------------------------------

@@ -126,11 +126,12 @@ def test_metric_accepts_serialized_group_file(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["group"] == {"order": 3, "type": "C3"}
 
 
-def test_metric_deterministic_bytes(tmp_path, capsys):
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_metric_deterministic_bytes(fmt, tmp_path, capsys):
     outputs = []
     for k in range(2):
-        out = tmp_path / f"run{k}.csv"
-        code = main(["metric", "--group", "D3", "--construction", "orbit",
+        out = tmp_path / f"run{k}.{fmt}"
+        code = main(["metric", "--group", "D3", "--construction", "orbit", "--format", fmt,
                      "--grid", "10", "--seed", "7", "--out", str(out)])
         assert code == 0
         outputs.append((out.read_bytes(), capsys.readouterr().out.replace(f"run{k}", "run")))
@@ -164,9 +165,12 @@ def _rejected(argv, capsys, flag):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("size", ["0", "1", "-3"])
-def test_metric_grid_below_two_exit_2(size, capsys):
-    _rejected(["metric", "--group", "D3", "--grid", size], capsys, "--grid")
+@pytest.mark.parametrize("size", ["0", "1", "2", "-3"])
+def test_metric_grid_below_three_exit_2(size, tmp_path, capsys):
+    # at 2 points per axis the grid is the four corners, all outside the disc
+    out = tmp_path / "g.csv"
+    _rejected(["metric", "--group", "D3", "--grid", size, "--out", str(out)], capsys, "--grid")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("step", ["0", "-0.001", "nan", "inf"])
@@ -218,13 +222,27 @@ def _run_quietly(argv):
     """main(argv) with warnings as errors: (exit code, stdout, stderr).
 
     A warning printed by numpy would add lines to stderr; as an error it
-    escapes main and fails the test like any other traceback.
+    escapes main and fails the test like any other traceback.  An argparse
+    rejection returns its exit code like main's own errors.
     """
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
         warnings.simplefilter("error")
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def test_metric_step_too_small_exit_2(tmp_path):
+    # h * h underflows to 0, so the Laplacian is 0/0: no NaN curvature may reach the output
+    out = tmp_path / "g.json"
+    code, stdout, err = _run_quietly(["metric", "--group", "A4", "--step", "1e-200",
+                                      "--grid", "8", "--format", "json", "--out", str(out)])
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: StencilOutOfDomain: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("construction", ["average", "conjugate", "hermitian", "orbit"])
@@ -352,3 +370,37 @@ def test_info_fuzz_exit_codes(tmp_path_factory, case):
         assert err.startswith("error: ") and err.count("\n") == 1
     if kind == "disconnected":
         assert code == 2 and "Disconnected" in err
+
+
+def _int_at_most(limit):
+    """Text that int() rejects, or that it parses to at most ``limit`` (no huge grids)."""
+    def small(text):
+        try:
+            return int(text) <= limit
+        except ValueError:
+            return True
+    return small
+
+
+_GRID_TEXT = st.integers(min_value=-3, max_value=14).map(str) | st.text(max_size=4).filter(
+    _int_at_most(14))
+_STEP_TEXT = (st.floats(min_value=1e-6, max_value=0.5).map(repr) | st.floats().map(repr)
+              | st.sampled_from(["1e-200", "1e-170", "5e-324", "1e300", "nan", "-0", "inf"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid=_GRID_TEXT, step=_STEP_TEXT)
+def test_metric_numeric_flags_fuzz(tmp_path_factory, grid, step):
+    out = tmp_path_factory.getbasetemp() / "fuzz-grid.csv"
+    out.unlink(missing_ok=True)
+    code, _, err = _run_quietly(["metric", "--group", "A4", "--construction", "conjugate",
+                                 f"--grid={grid}", f"--step={step}", "--out", str(out)])
+    assert code in (0, 2)
+    if code == 0:
+        assert err == "" and "nan" not in out.read_text()
+        return
+    lines = err.splitlines()
+    if lines[0].startswith("usage: "):  # argparse: the usage block, then one error line
+        lines = [line for line in lines if not line.startswith(("usage: ", " "))]
+    assert len(lines) == 1 and "error: " in lines[0]
+    assert not out.exists()

@@ -1,3 +1,5 @@
+import json
+import math
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -237,6 +239,54 @@ def test_grid_rows_and_formats():
             assert float(text) == value
     as_json = mt.grid_rows_as_json(rows)
     assert as_json[0].keys() == {"re", "im", "chart", "rho", "curvature"}
+
+
+def _oracle_grid_csv(rows):
+    """The per-row f-string writer, every float formatted on its own."""
+    lines = [mt.GRID_HEADER]
+    for re_, im_, chart, rho, curv in rows:
+        lines.append(f"{re_:.17g},{im_:.17g},{chart},{rho:.17g},{curv:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_grid_json(rows):
+    return json.dumps(mt.grid_rows_as_json(rows), sort_keys=True, indent=1) + "\n"
+
+
+def _assert_writers_match_oracles(rows):
+    assert mt.format_grid_csv(rows) == _oracle_grid_csv(rows)
+    assert mt.format_grid_json(rows) == _oracle_grid_json(rows)
+
+
+@pytest.mark.parametrize("n", [3, 12, 41, 80])
+@pytest.mark.parametrize("build", [mt.averaged_metric, mt.conjugated_metric,
+                                   mt.hermitian_metric, mt.orbit_triple_metric])
+def test_grid_writers_match_oracles(build, n):
+    base = fg.from_type("D3")
+    moved = fg.conjugate_group(base, mb.MoebiusTransform([[1.1, 0.2j], [0.1, 0.9]]))
+    for g in (base, moved):
+        rows = mt.metric_grid_rows(build(g), n=n)
+        assert {row[2] for row in rows} == {"finite", "infinity"}
+        _assert_writers_match_oracles(rows)
+
+
+def test_grid_writers_match_oracles_on_edge_rows():
+    nan, inf = math.nan, math.inf
+    rows = [
+        (0.0, -0.0, "finite", 1.0, -0.0),
+        (-0.0, 0.0, "infinity", -0.0, 0.0),
+        (0.0, -0.0, "finite", nan, inf),  # zeros again, after both signs were seen
+        (nan, nan, "infinity", -inf, nan),
+        (5e-324, -5e-324, "finite", 1.7e308, -1.7e308),
+        (5e-324, 1e-300, "infinity", 5e-324, 1e-300),
+        (np.float64(0.1), np.float64(-0.0), "finite", np.float64(2.5), np.float64(nan)),
+        (np.float64(-inf), 0.1, "infinity", np.float64(1e-300), np.float64(-1.7e308)),
+        (0.1, np.float64(0.1), "finite", 1 / 3, -2 / 3),
+    ]
+    _assert_writers_match_oracles(rows)
+    _assert_writers_match_oracles([])
+    for row in rows:
+        _assert_writers_match_oracles([row])
 
 
 def test_sphere_samples_cover_both_charts():
