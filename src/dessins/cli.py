@@ -9,8 +9,9 @@ Subcommands:
 * ``verify [SCOPE]`` — run the property suites (groups, metrics, sc, all);
 * ``sc-demo`` — triangle-map geometry and boundary correspondence as JSON.
 
-Exit codes: 0 success, 1 verification failure, 2 input error,
-3 cyclic-group exclusion, 4 genus mismatch.
+Exit codes: 0 success, 1 verification failure, 2 input error (including
+a size too large to allocate and a metric kernel overflow), 3 cyclic-group
+exclusion, 4 genus mismatch.
 """
 
 from __future__ import annotations
@@ -134,8 +135,6 @@ def cmd_metric(args) -> int:
     rows = mt.metric_grid_rows(metric, n=args.grid, step=args.step)
     out_path = args.out or f"metric_grid.{args.format}"
     payload = mt.format_grid_csv(rows) if args.format == "csv" else mt.format_grid_json(rows)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(payload)
 
     curvatures = [row[4] for row in rows]
     diagnostics = {
@@ -151,6 +150,8 @@ def cmd_metric(args) -> int:
             warnings.append("metric coincides with the round sphere metric")
     if is_in_SO3(group, 1e-8) and args.construction in ("average", "hermitian"):
         warnings.append("group already consists of rotations; metric is round")
+    with open(out_path, "w", encoding="utf-8") as fh:  # only once every diagnostic succeeded
+        fh.write(payload)
 
     report = {
         "construction": args.construction,
@@ -230,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="grid points per axis, at least 3")
     p_metric.add_argument("--step", type=_bounded(float, 0.0, strict=True), default=1e-3,
                           metavar="H", help="finite-difference curvature step, positive")
-    p_metric.add_argument("--seed", type=int, default=0)
+    p_metric.add_argument("--seed", type=_bounded(int, 0), default=0,
+                          help="conjugator seed, at least 0")
     p_metric.add_argument("--out", default=None, metavar="PATH")
     p_metric.add_argument("--format", default="csv", choices=("csv", "json"))
     p_metric.set_defaults(func=cmd_metric)
@@ -238,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the property suites")
     p_verify.add_argument("scope", nargs="?", default="all",
                           choices=("groups", "metrics", "sc", "all"))
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_bounded(int, 0), default=0,
+                          help="sampling seed, at least 0")
     p_verify.add_argument("--perturb", type=float, default=None,
                           help="test hook: scale one generator entry to force failures")
     p_verify.set_defaults(func=cmd_verify)
@@ -262,6 +265,12 @@ def main(argv=None) -> int:
         return 2
     except (json.JSONDecodeError, ValueError, KeyError) as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
+        return 2
+    except FloatingPointError as exc:  # raised by the metric kernel on overflow
+        print(f"error: floating-point error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy refuses an array too large to allocate
+        print(f"error: input too large: {exc}", file=sys.stderr)
         return 2
     except CyclicGroupUnsupported as exc:
         print(f"error: CyclicGroupUnsupported: {exc}", file=sys.stderr)

@@ -280,60 +280,34 @@ def brute_force_automorphisms(d: Dessin) -> PermGroup:
     return PermGroup(els)
 
 
-def _base(stack: np.ndarray) -> list[int]:
-    """Points whose images tell the elements apart: dart 0, then greedily more.
+def _element_orders(stack: np.ndarray) -> np.ndarray:
+    """Order of each element: the length of its cycle through dart 0.
 
-    Dart 0 alone suffices for a group acting freely, as a dessin's
-    automorphism group does; a point is added only if it splits elements
-    that the points before it do not.
+    Valid when no two elements send dart 0 to the same dart: then g^k
+    fixes dart 0 only when g^k is the identity.  One power walk of all
+    elements; an element leaves the walk when dart 0 comes back.
     """
-    base = [0]
-    keys, labels = np.unique(stack[:, 0], return_inverse=True)
-    for point in range(1, stack.shape[1]):
-        if len(keys) == len(stack):
-            break
-        split, split_labels = np.unique(labels * stack.shape[1] + stack[:, point],
-                                        return_inverse=True)
-        if len(split) > len(keys):
-            base.append(point)
-            keys, labels = split, split_labels
-    return base
-
-
-def _element_orders(stack: np.ndarray, base: list[int]) -> np.ndarray:
-    """Order of each element: the lcm of its cycle lengths through the base points.
-
-    One power walk of all (element, base point) pairs; a pair leaves the
-    walk when its point comes back.
-    """
-    rows = np.repeat(np.arange(len(stack)), len(base))
-    start = np.tile(np.asarray(base, dtype=stack.dtype), len(stack))
-    lengths = np.empty(len(rows), dtype=np.int64)
-    todo = np.arange(len(rows))
-    point = stack[rows, start]
+    orders = np.empty(len(stack), dtype=np.int64)
+    todo = np.arange(len(stack))
+    point = stack[:, 0]
     step = 1
     while len(todo):
-        back = point == start[todo]
-        lengths[todo[back]] = step
-        todo, point = todo[~back], point[~back]
-        point = stack[rows[todo], point]
+        back = point == 0
+        orders[todo[back]] = step
+        todo = todo[~back]
+        point = stack[todo, point[~back]]
         step += 1
-    return np.lcm.reduce(lengths.reshape(len(stack), len(base)), axis=1)
-
-
-def _is_abelian(stack: np.ndarray, base: list[int]) -> bool:
-    """Do a.b and b.a agree on the base for all elements?  One row of products at a time."""
-    images = stack[:, base]
-    return all((a[images] == stack[:, a[base]]).all() for a in stack)
+    return orders
 
 
 def classify_perm_group(g: PermGroup) -> GroupType:
-    """Classify via order, element-order census and abelianness, read off the images of a base.
+    """Classify via order and element-order census, read off the images of dart 0.
 
-    A group with an element of full order is cyclic; only otherwise is
-    abelianness tested.
+    The group must act freely on dart 0, as a connected dessin's
+    automorphism group does; rows are sorted by their image of dart 0, so
+    two elements sharing one are neighbours, and a ValueError is raised.
     """
-    base = _base(g.stack)
-    census = dict(Counter(_element_orders(g.stack, base).tolist()))
-    abelian = g.order in census or _is_abelian(g.stack, base)
-    return classify_census(g.order, census, abelian)
+    if (g.stack[1:, 0] == g.stack[:-1, 0]).any():
+        raise ValueError("two elements send dart 0 to the same dart; "
+                         "orders cannot be read off dart 0")
+    return classify_census(g.order, dict(Counter(_element_orders(g.stack).tolist())))

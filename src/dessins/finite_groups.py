@@ -75,19 +75,12 @@ class OrbitData:
         return tuple(len(o.points) for o in self.orbits)
 
 
-def is_abelian(stack: np.ndarray) -> bool:
-    """Do all matrices of the stack commute projectively?  One row of products at a time."""
-    return all(projective_gap(a @ stack, stack @ a).max() < PROJECTIVE_TOL for a in stack)
-
-
 def _classify(stack: np.ndarray) -> GroupType:
     # element orders divide the group order, which may exceed the default cap
     orders = element_orders(stack, max(DEFAULT_ORDER_CAP, len(stack)))
     if not orders.all():
         return GroupType.other()
-    if (orders == len(stack)).any():  # an element of full order: cyclic, so abelian
-        return GroupType.cyclic(len(stack))
-    return classify_census(len(stack), dict(Counter(orders.tolist())), is_abelian(stack))
+    return classify_census(len(stack), dict(Counter(orders.tolist())))
 
 
 def classify_elements(elements) -> GroupType:

@@ -2,8 +2,8 @@
 
 The finite groups that can occur are cyclic, dihedral, tetrahedral (A4),
 octahedral (S4) and icosahedral (A5).  Classification works from the
-group order, the element-order census and abelianness alone, so the same
-decision table serves permutation groups and matrix groups alike.
+group order and the element-order census alone, so the same decision
+table serves permutation groups and matrix groups alike.
 """
 
 from __future__ import annotations
@@ -83,10 +83,18 @@ _S4_CENSUS = {1: 1, 2: 9, 3: 8, 4: 6}
 _A5_CENSUS = {1: 1, 2: 15, 3: 20, 5: 24}
 
 
-def classify_census(order: int, census: dict[int, int], abelian: bool) -> GroupType:
-    """Classify a finite group from (order, element-order census, abelianness).
+def classify_census(order: int, census: dict[int, int]) -> GroupType:
+    """Classify a finite group from its order and element-order census.
 
     Order-2 groups are reported as C2, never as a dihedral group of rank 1.
+
+    Abelianness never decides a tag.  A group of order 2n is D_n here when
+    it has an element of order n and as many involutions as D_n: n for
+    odd n, n + 1 for even n.  An abelian group of order 2n with an element
+    of order n is C_2n, with one involution, or for even n also C_n x C_2,
+    with three.  For n >= 3 the dihedral count is n >= 3 (odd n) or
+    n + 1 >= 5 (even n), so it never meets an abelian count; for n <= 2
+    the tags are abelian themselves (C2, and D2 = C_2 x C_2).
     """
     if order == 1:
         return GroupType.cyclic(1)
@@ -102,6 +110,6 @@ def classify_census(order: int, census: dict[int, int], abelian: bool) -> GroupT
         n = order // 2
         expected_involutions = n + 1 if n % 2 == 0 else n
         has_rotation = census.get(n, 0) > 0
-        if has_rotation and census.get(2, 0) == expected_involutions and (n < 3 or not abelian):
+        if has_rotation and census.get(2, 0) == expected_involutions:
             return GroupType.dihedral(n)
     return GroupType.other()

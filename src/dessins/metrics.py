@@ -93,25 +93,30 @@ class ConformalMetric:
         return float(vals[0]) if arr.shape == () else vals.reshape(arr.shape)
 
     def _density(self, p: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """Mean stack density at the homogeneous points (p, r), 1-d arrays."""
+        """Mean stack density at the homogeneous points (p, r), 1-d arrays.
+
+        Overflow, division by zero and invalid operations raise
+        FloatingPointError: a term that leaves the floats is not a density.
+        """
         out = np.empty(p.shape[0])
         chunk = max(1, _CHUNK_BUDGET // self._coef.shape[0])
-        for s in range(0, out.shape[0], chunk):
-            pc, rc = p[s:s + chunk], r[s:s + chunk]
-            w = np.conj(pc) * rc
-            mono = np.stack([pc.real ** 2 + pc.imag ** 2, rc.real ** 2 + rc.imag ** 2,
-                             w.real, w.imag])
-            q = self._coef @ mono
-            if self.form is None:
-                q *= q
-                terms = np.reciprocal(q, out=q)
-            else:
-                h11, h22 = self.form[0, 0].real, self.form[1, 1].real
-                pp, rr, cross = q.reshape(3, len(self.stack), -1)
-                n2 = (pp + rr) ** 2
-                terms = ((h11 * (pp * pp + rr * rr) + 2.0 * h22 * pp * rr
-                          + 2.0 * cross * (rr - pp)) / (n2 * n2))
-            out[s:s + chunk] = self._weights @ terms
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for s in range(0, out.shape[0], chunk):
+                pc, rc = p[s:s + chunk], r[s:s + chunk]
+                w = np.conj(pc) * rc
+                mono = np.stack([pc.real ** 2 + pc.imag ** 2, rc.real ** 2 + rc.imag ** 2,
+                                 w.real, w.imag])
+                q = self._coef @ mono
+                if self.form is None:
+                    q *= q
+                    terms = np.reciprocal(q, out=q)
+                else:
+                    h11, h22 = self.form[0, 0].real, self.form[1, 1].real
+                    pp, rr, cross = q.reshape(3, len(self.stack), -1)
+                    n2 = (pp + rr) ** 2
+                    terms = ((h11 * (pp * pp + rr * rr) + 2.0 * h22 * pp * rr
+                              + 2.0 * cross * (rr - pp)) / (n2 * n2))
+                out[s:s + chunk] = self._weights @ terms
         return out
 
 
@@ -214,8 +219,11 @@ def _stencil_values(g, chart: str, coords, h):
     rho = g.rho if chart == "finite" else g.rho_at_infinity
     coords = np.atleast_1d(np.asarray(coords, dtype=complex))
     offsets = np.array([0.0, h, -h, 1j * h, -1j * h])
-    with np.errstate(all="ignore"):  # overflow is reported below, as the domain error
-        vals = np.asarray(rho(coords[None, :] + offsets[:, None]), dtype=float)
+    try:
+        with np.errstate(all="ignore"):  # overflow is reported below, as the domain error
+            vals = np.asarray(rho(coords[None, :] + offsets[:, None]), dtype=float)
+    except FloatingPointError:  # the kernel raises on its own overflow
+        vals = np.array([np.nan])
     if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
         raise StencilOutOfDomain("conformal factor undefined or non-positive "
                                  "on the finite-difference stencil")

@@ -183,6 +183,30 @@ def test_sc_demo_samples_below_one_exit_2(samples, capsys):
     _rejected(["sc-demo", "--samples", samples], capsys, "--samples")
 
 
+@pytest.mark.parametrize("argv", [
+    ["metric", "--group", "D3", "--grid", str(10**15)],
+    ["sc-demo", "--samples", str(10**15)],
+])
+def test_size_too_large_to_allocate_exit_2(argv, tmp_path):
+    # numpy refuses the first array at once; sizes it would really try to allocate are not tested
+    out = tmp_path / "out"
+    code, stdout, err = _run_quietly(argv + ["--out", str(out)])
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: input too large: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    *(["metric", "--group", "A4", "--construction", c, "--grid", "8"]
+      for c in ("average", "conjugate", "hermitian", "orbit")),
+    ["verify", "groups"],
+])
+def test_negative_seed_exit_2(argv, tmp_path, capsys):
+    if argv[0] == "metric":  # a run that is not rejected writes its grid here, not into the cwd
+        argv = argv + ["--out", str(tmp_path / "g.csv")]
+    _rejected(argv + ["--seed", "-1"], capsys, "--seed")
+
+
 @pytest.mark.parametrize("text", [
     "5",
     '"abc"',
@@ -260,6 +284,19 @@ def test_metric_generator_of_infinite_order_exit_2(text, construction, tmp_path)
                                  construction, "--grid", "8", "--out", str(tmp_path / "g.csv")])
     assert code == 2
     assert err == "error: MalformedInput: generator 1 has no finite order up to 200\n"
+
+
+@pytest.mark.parametrize("construction", ["average", "conjugate", "hermitian", "orbit"])
+def test_metric_kernel_overflow_one_line(construction, tmp_path):
+    # z -> -z + 2e150 has order 2, but squares of its images overflow in the kernel
+    gens = tmp_path / "gens.json"
+    gens.write_text("[[[0,1],[0,-2e150],[0,0],[0,-1]]]")
+    out = tmp_path / "g.csv"
+    code, stdout, err = _run_quietly(["metric", "--generators", str(gens), "--construction",
+                                      construction, "--grid", "8", "--out", str(out)])
+    assert code == (3 if construction == "conjugate" else 2) and stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_metric_generators_in_ambiguity_band_exit_2(tmp_path):

@@ -153,27 +153,37 @@ def _perm_closure(gens, n):
     return dd.PermGroup(tuple(sorted(els)))
 
 
+def _regular_closure(a, b, n):
+    """The group generated by two permutations of n points, in its regular representation."""
+    gens = [perms.from_cycles(a, n), perms.from_cycles(b, n)]
+    g = _perm_closure(gens, n)
+    return _perm_closure(list(_regular(g.elements, gens, perms.compose)), g.order)
+
+
 def test_classify_exceptional_groups_by_brute_force():
-    a4 = _perm_closure([perms.from_cycles([[1, 2, 3]], 4),
-                        perms.from_cycles([[1, 2], [3, 4]], 4)], 4)
+    a4 = _regular_closure([[1, 2, 3]], [[1, 2], [3, 4]], 4)
     assert a4.order == 12
     assert dd.classify_perm_group(a4) == GroupType.a4()
-    s4 = _perm_closure([perms.from_cycles([[1, 2, 3, 4]], 4),
-                        perms.from_cycles([[1, 2]], 4)], 4)
+    s4 = _regular_closure([[1, 2, 3, 4]], [[1, 2]], 4)
     assert s4.order == 24
     assert dd.classify_perm_group(s4) == GroupType.s4()
-    a5 = _perm_closure([perms.from_cycles([[1, 2, 3, 4, 5]], 5),
-                        perms.from_cycles([[1, 2], [3, 4]], 5)], 5)
+    a5 = _regular_closure([[1, 2, 3, 4, 5]], [[1, 2], [3, 4]], 5)
     assert a5.order == 60
     assert dd.classify_perm_group(a5) == GroupType.a5()
-    d3 = _perm_closure([perms.from_cycles([[1, 2, 3]], 3),
-                        perms.from_cycles([[2, 3]], 3)], 3)
+    d3 = _regular_closure([[1, 2, 3]], [[2, 3]], 3)
     assert dd.classify_perm_group(d3) == GroupType.dihedral(3)
-    klein = _perm_closure([perms.from_cycles([[1, 2], [3, 4]], 4),
-                           perms.from_cycles([[1, 3], [2, 4]], 4)], 4)
+    klein = _regular_closure([[1, 2], [3, 4]], [[1, 3], [2, 4]], 4)
     assert dd.classify_perm_group(klein) == GroupType.dihedral(2)
     c2 = _perm_closure([perms.from_cycles([[1, 2]], 2)], 2)
     assert dd.classify_perm_group(c2) == GroupType.cyclic(2)
+
+
+def test_classify_rejects_shared_image_of_dart_0():
+    # S3 on 3 points: (2 3) fixes dart 0 like the identity, and has order 2, not 1
+    s3 = _perm_closure([perms.from_cycles([[1, 2, 3]], 3),
+                        perms.from_cycles([[2, 3]], 3)], 3)
+    with pytest.raises(ValueError, match="dart 0"):
+        dd.classify_perm_group(s3)
 
 
 @st.composite
@@ -217,7 +227,7 @@ def test_automorphism_group_properties(d):
 
 # ---------------------------------------------------------------------------
 # Oracles for automorphisms and classify_perm_group: per-target propagation of
-# dart 0 and the all-pairs census and commutator classification.
+# dart 0 and the census of every element's order over all its cycles.
 
 def _extend_from_seed(sw, sb, target: int):
     # A permutation commuting with both rotations is fixed by the image of
@@ -249,10 +259,7 @@ def _oracle_automorphisms(d):
 
 
 def _oracle_classify(g):
-    census = dict(Counter(perms.order(p) for p in g.elements))
-    abelian = all(perms.compose(a, b) == perms.compose(b, a)
-                  for i, a in enumerate(g.elements) for b in g.elements[i + 1:])
-    return classify_census(g.order, census, abelian)
+    return classify_census(g.order, dict(Counter(perms.order(p) for p in g.elements)))
 
 
 def _assert_matches_oracle(d):
@@ -353,11 +360,20 @@ def test_classify_exceptional_groups_matches_oracle():
         ([[1, 2, 3, 4, 5]], [[1, 2], [3, 4]], 5),  # A5
         ([[1, 2, 3]], [[2, 3]], 3),                # D3
         ([[1, 2], [3, 4]], [[1, 3], [2, 4]], 4),   # Klein
-        ([[1, 2, 3, 4]], [[1, 3]], 4),             # D4 on the square's corners
+        ([[1, 2, 3, 4]], [[1, 3]], 4),             # D4, from the square's corners
     ]
     for a, b, n in gens:
-        g = _perm_closure([perms.from_cycles(a, n), perms.from_cycles(b, n)], n)
+        g = _regular_closure(a, b, n)
         assert dd.classify_perm_group(g) == _oracle_classify(g)
+
+
+def test_abelian_groups_are_never_dihedral_beyond_rank_2():
+    # the census alone tells every abelian group from D_n, n >= 3
+    for a, b in ((a, b) for a in range(1, 49) for b in range(1, 49 // a + 1)):
+        g = dd.automorphisms(dd.Dessin(a * b, *_abelian_regular(a, b)))
+        tag = dd.classify_perm_group(g)
+        assert tag == _oracle_classify(g)
+        assert not (tag.kind == "dihedral" and tag.n >= 3), (a, b, tag)
 
 
 def test_group_stack_is_read_only():
