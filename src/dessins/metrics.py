@@ -221,9 +221,12 @@ def _stencil_values(g, chart: str, coords, h):
     offsets = np.array([0.0, h, -h, 1j * h, -1j * h])
     try:
         with np.errstate(all="ignore"):  # overflow is reported below, as the domain error
-            vals = np.asarray(rho(coords[None, :] + offsets[:, None]), dtype=float)
+            stencil = coords[None, :] + offsets[:, None]
+            vals = np.asarray(rho(stencil), dtype=float)
     except FloatingPointError:  # the kernel raises on its own overflow
         vals = np.array([np.nan])
+    if np.any(stencil[1:] == coords):  # a Laplacian over a zero step reads as a silent 0
+        raise StencilOutOfDomain(f"step {h!r} too small: a stencil point equals its centre")
     if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
         raise StencilOutOfDomain("conformal factor undefined or non-positive "
                                  "on the finite-difference stencil")

@@ -242,6 +242,19 @@ def test_metric_step_beyond_domain_exit_2(tmp_path, capsys):
     assert err.startswith("error: StencilOutOfDomain: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("step", ["1e-20", "1e-17"])
+def test_metric_step_below_coordinate_resolution_exit_2(step, tmp_path, capsys):
+    # x + step == x on the grid: the stencil collapses and the curvature would read -0
+    out = tmp_path / "g.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["metric", "--group", "A4", "--step", step, "--grid", "8", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: StencilOutOfDomain: step ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def _run_quietly(argv):
     """main(argv) with warnings as errors: (exit code, stdout, stderr).
 

@@ -1,4 +1,6 @@
+import cmath
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -161,3 +163,192 @@ def test_boundary_correspondence_table():
     assert len(table) == 3
     for arc in table:
         assert len(arc["samples"]) == 5
+
+
+# ---------------------------------------------------------------------------
+# slow oracle: the per-point quadrature with three rule calls per panel and
+# one closure per point.  The module's batched quadrature evaluates the same
+# nodes in fewer, larger calls, so every value must match it bit for bit.
+
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
+
+
+def _gl_fixed(f, a, b):
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    return half * complex(np.sum(_GL_W * f(mid + half * _GL_X)))
+
+
+def _adaptive(f, a, b, tol=sc.QUAD_TOL, depth=0):
+    whole = _gl_fixed(f, a, b)
+    mid = 0.5 * (a + b)
+    left = _gl_fixed(f, a, mid)
+    right = _gl_fixed(f, mid, b)
+    if abs(left + right - whole) <= tol or depth >= 40:
+        return left + right
+    return _adaptive(f, a, mid, tol / 2, depth + 1) + _adaptive(f, mid, b, tol / 2, depth + 1)
+
+
+def _integrand(t):
+    t = np.asarray(t, dtype=complex)
+    return np.exp(-0.5 * np.log(t) - (2.0 / 3.0) * np.log(t + 1.0))
+
+
+def _raw_from_zero(z):
+    if z == 0:
+        return 0j
+    return 2.0 * cmath.sqrt(z) * _adaptive(
+        lambda s: np.exp(-(2.0 / 3.0) * np.log(1.0 + z * s * s)), 0.0, 1.0)
+
+
+def _raw_from_minus_one(z):
+    w = z + 1.0
+    if w == 0:
+        return 0j
+    return 3.0 * cmath.exp(cmath.log(w) / 3.0) * _adaptive(
+        lambda s: np.exp(-0.5 * np.log(-1.0 + w * s ** 3)), 0.0, 1.0)
+
+
+def _raw_segment(a, b):
+    span = b - a
+    return _adaptive(lambda s: _integrand(a + span * s) * span, 0.0, 1.0)
+
+
+class _Oracle:
+    def __init__(self):
+        self.raw_c1 = _raw_from_zero(-0.5 + 0j) - _raw_from_minus_one(-0.5 + 0j)
+        self.raw_ci = _raw_from_zero(0.5j) + _raw_segment(0.5j, 1j)
+        self.constant = 1.0 / self.raw_c1
+        tail = 6.0 * _adaptive(lambda s: np.exp(-(2.0 / 3.0) * np.log(1.0 + s ** 6)), 0.0, 1.0)
+        self.raw_vinf = self.raw_ci + _raw_segment(1j, 1.0 + 0j) + tail
+
+    def forward(self, z):
+        if abs(z) <= 0.5:
+            raw = _raw_from_zero(z)
+        elif abs(z + 1.0) <= 0.5:
+            raw = self.raw_c1 + _raw_from_minus_one(z)
+        elif abs(z) > 2.0:
+            raw = self.raw_vinf - 6.0 * cmath.sqrt(z) * _adaptive(
+                lambda u: np.exp(-(2.0 / 3.0) * np.log(z + u ** 6)), 0.0, 1.0)
+        else:
+            raw = self.raw_ci + _raw_segment(1j, z)
+        return self.constant * raw
+
+
+_ORACLE = _Oracle()
+
+
+def _assert_forward_matches_oracle(points):
+    points = [complex(z) for z in points]
+    fast = [sc.sc_forward(z) for z in points]
+    slow = [_ORACLE.forward(z) for z in points]
+    assert [repr(w) for w in fast] == [repr(w) for w in slow]
+    # the batch over all points at once is the same map
+    assert [repr(w) for w in sc._data().forward_many(points)] == [repr(w) for w in slow]
+
+
+def test_map_data_matches_oracle():
+    d = sc._data()
+    for name in ("raw_c1", "raw_ci", "raw_vinf", "constant"):
+        assert repr(getattr(d, name)) == repr(getattr(_ORACLE, name))
+
+
+def test_forward_matches_oracle_in_every_region():
+    rng = np.random.default_rng(17)
+    points = [complex(rng.uniform(-r, r), rng.uniform(0.0, r))
+              for r in (0.6, 1.6, 3.0, 40.0) for _ in range(60)]
+    assert {sc._region(z)[0] for z in points} == {0, 1, 2, 3}
+    _assert_forward_matches_oracle(points)
+
+
+def test_forward_matches_oracle_on_region_edges():
+    angles = np.linspace(0.0, math.pi, 37)
+    points = [c + r * cmath.exp(1j * t) for c, r in ((0.0, 0.5), (-1.0, 0.5), (0.0, 2.0))
+              for t in angles]
+    points += [0.5, -0.5, 0.5j, -1.5, -1.0 + 0.5j, 2.0, -2.0, 2j, 1.2 + 1.6j]
+    _assert_forward_matches_oracle(points)
+
+
+def test_forward_matches_oracle_on_real_axis():
+    points = [0.0, -1.0, complex(0.0, -0.0), complex(-1.0, -0.0), 1e7, -1e7]
+    points += list(np.linspace(-3.0, 3.0, 61))
+    points += list(np.geomspace(1e-6, 1e6, 25)) + list(-np.geomspace(1e-6, 1e6, 25))
+    _assert_forward_matches_oracle(points)
+
+
+def _oracle_boundary(table):
+    """Each arc's abscissas mapped by the oracle, in the table's layout."""
+    return [{"arc": arc["arc"],
+             "samples": [{"x": s["x"], "re": w.real, "im": w.imag}
+                         for s in arc["samples"]
+                         for w in [_ORACLE.forward(complex(s["x"], 0.0))]]}
+            for arc in table]
+
+
+@pytest.mark.parametrize("samples", [1, 2, 30, 300])
+def test_boundary_correspondence_matches_oracle(samples):
+    table = sc.boundary_correspondence(samples)
+    assert [len(arc["samples"]) for arc in table] == [samples] * 3
+    assert repr(table) == repr(_oracle_boundary(table))
+
+
+def test_boundary_correspondence_across_blocks_matches_oracle():
+    table = sc.boundary_correspondence(3 * sc._BLOCK + 1)
+    # more points per arc than one block, and an arc whose points in one region fill more
+    per_arc = [Counter(sc._region(complex(s["x"], 0.0))[0] for s in arc["samples"])
+               for arc in table]
+    assert max(max(counts.values()) for counts in per_arc) > sc._BLOCK
+    assert repr(table) == repr(_oracle_boundary(table))
+
+
+def _triangle_points(rng, count):
+    v0, v1, v2 = sc.triangle_map().vertices
+    points = []
+    while len(points) < count:
+        a, b = rng.uniform(0.02, 0.96, 2)
+        if a + b <= 0.98:
+            points.append(v0 + a * (v1 - v0) + b * (v2 - v0))
+    return points
+
+
+def test_inverse_and_butterfly_match_oracle(monkeypatch):
+    _, v_center, v_black = sc.triangle_map().vertices
+    rng = np.random.default_rng(23)
+    targets = _triangle_points(rng, 25)
+    doubled = targets[:10] + [sc._reflect(p, v_center, v_black) for p in targets[10:20]]
+
+    def run():
+        return ([repr(sc.sc_inverse(w)) for w in targets],
+                [repr(sc.butterfly_belyi(p)) for p in doubled])
+
+    fast = run()
+    monkeypatch.setattr(sc._MapData, "forward", lambda self, z: _ORACLE.forward(z))
+    assert run() == fast
+
+
+@pytest.mark.parametrize("call, point", [
+    (sc.sc_forward, complex("nan")), (sc.sc_forward, complex("inf")),
+    (sc.sc_forward, complex(0.0, float("inf"))),
+    (sc.sc_inverse, complex("nan")), (sc.sc_inverse, complex("inf")),
+])
+def test_non_finite_points_rejected(call, point):
+    with pytest.raises(ValueError, match="not a finite point"):
+        call(point)
+
+
+def _nan_integrand(calls):
+    def f(q, s):
+        calls.append(np.shape(s))
+        assert len(calls) == 1, "a non-finite panel was refined"
+        return np.full(np.broadcast_shapes(np.shape(q), np.shape(s)), complex("nan"))
+    return f
+
+
+def test_adaptive_stops_on_non_finite_sum():
+    calls = []
+    assert cmath.isnan(sc._adaptive(_nan_integrand(calls), 0.1j, 0.0, 1.0, 1.0 + 0j))
+    assert len(calls) == 1
+    # the batched first panels go through the same test
+    calls.clear()
+    assert all(cmath.isnan(v) for v in sc._integrals(_nan_integrand(calls), np.zeros(3, complex)))
+    assert len(calls) == 1
