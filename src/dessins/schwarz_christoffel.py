@@ -6,12 +6,12 @@ normalization constant scales the image of [-1, 0] onto the unit segment
 [0, 1], which places the third vertex at -i*sqrt(3).
 
 Endpoint singularities are removed exactly by power substitutions
-(t = z s^2 at 0, t = -1 + (z+1) s^3 at -1); everything else is adaptive
-Gauss-Legendre quadrature on singularity-free segments.  Each panel is
-one integrand call on its two halves, and the first panels of many points
-of one region are one array call; only a point whose first panel has not
-converged is refined on its own.  All fractional powers are
-principal-branch, which is continuous on the closed upper half-plane.
+(t = z s^2 at 0, t = -1 + (z+1) s^3 at -1, t = z / u^6 at infinity);
+each substituted integrand is analytic beyond [0, 1], so a fixed set of
+24-point Gauss-Legendre panels per region integrates it to rounding.  One
+point and a column of many points go through the same rule.  All
+fractional powers are principal-branch, which is continuous on the closed
+upper half-plane.
 
 Doubling the triangle across its hypotenuse and following the inverse map
 with z -> z/(z+1) produces the degree-1 covering of the sphere by one
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,13 +31,9 @@ import numpy as np
 from .errors import BranchViolation, NoConvergence, OutsideButterfly
 from .moebius import INFINITY, MoebiusTransform, SpherePoint
 
-QUAD_TOL = 1e-12
 NEWTON_TOL = 1e-12  # residual of the inverse, relative to max(1, |w|)
 NEWTON_MAX_ITER = 100  # Newton steps per starting point
-_GL_N = 24
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_N)
-# every integral runs over [0, 1]: its first panels are [0, 1] and both halves
-_NODES_01 = np.concatenate((0.5 + 0.5 * _GL_X, 0.25 + 0.25 * _GL_X, 0.75 + 0.25 * _GL_X))
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
 _BLOCK = 64  # points per array call; bounds the temporaries of a batch
 
 _ANGLES = (np.pi / 2, np.pi / 3, np.pi / 6)
@@ -55,58 +50,11 @@ class TriangleMap:
         return _ANGLES
 
 
-def _rule_sums(vals):
-    """Gauss-Legendre sums of each run of _GL_N values along the last axis."""
-    return (_GL_W * vals.reshape(vals.shape[:-1] + (-1, _GL_N))).sum(axis=-1).tolist()
-
-
-def _adaptive(f, q, a: float, b: float, whole, tol: float = QUAD_TOL, depth: int = 0,
-              halves=None):
-    """Integral of f(q, s) over s in [a, b], given the rule sum on the whole panel.
-
-    ``halves`` are the rule sums on the two half-panels when the caller has
-    them; otherwise both come from one integrand call on 2 * _GL_N nodes.
-    A refined half takes its own sum as its whole.  A non-finite sum stops
-    the refinement, as a converged one does.
-    """
-    mid = 0.5 * (a + b)
-    if halves is None:
-        h_left, h_right = 0.5 * (mid - a), 0.5 * (b - mid)
-        nodes = np.concatenate((0.5 * (a + mid) + h_left * _GL_X,
-                                0.5 * (mid + b) + h_right * _GL_X))
-        left, right = _rule_sums(f(q, nodes))
-        halves = (h_left * left, h_right * right)
-    left, right = halves
-    err = abs(left + right - whole)
-    if err <= tol or depth >= 40 or not math.isfinite(err):
-        return left + right
-    return (_adaptive(f, q, a, mid, left, tol / 2, depth + 1)
-            + _adaptive(f, q, mid, b, right, tol / 2, depth + 1))
-
-
-def _integrals(f, qs) -> list:
-    """Integrals of f(q, s) over s in [0, 1], one per parameter of the 1-d array qs.
-
-    The first panels of a block of points are one array call; a point whose
-    panel and half-panel sums disagree is refined on its own.
-    """
-    out = []
-    for start in range(0, len(qs), _BLOCK):
-        block = qs[start:start + _BLOCK]
-        sums = _rule_sums(f(block[:, None], _NODES_01))
-        out.extend(_adaptive(f, q, 0.0, 1.0, 0.5 * whole, halves=(0.25 * left, 0.25 * right))
-                   for q, (whole, left, right) in zip(block.tolist(), sums))
-    return out
-
-
-def _integral(f, q):
-    """Integral of f(q, s) over s in [0, 1] for one scalar parameter q.
-
-    The same sums as _integrals on a one-point array, without the column
-    and block bookkeeping that would add about a quarter to a forward call.
-    """
-    whole, left, right = _rule_sums(f(q, _NODES_01))
-    return _adaptive(f, q, 0.0, 1.0, 0.5 * whole, halves=(0.25 * left, 0.25 * right))
+def _rule(panels: int):
+    """Nodes and weights of ``panels`` equal 24-point Gauss-Legendre panels on [0, 1]."""
+    half = 0.5 / panels
+    mids = half * (2.0 * np.arange(panels) + 1.0)
+    return (mids[:, None] + half * _GL_X).ravel(), np.tile(half * _GL_W, panels)
 
 
 def _integrand(t):
@@ -140,8 +88,25 @@ def _segment(a, span, s):
 
 
 # The quadrature that reaches z from 0, -1, infinity and i, in the order
-# _region numbers them; their parameters are z, z + 1, z and z - i.
-_REGIONS = (_from_zero, _from_minus_one, _from_infinity, functools.partial(_segment, 1j))
+# _region numbers them, as (integrand, nodes, weights); their parameters
+# are z, z + 1, z and z - i.  Every integrand is analytic on a neighbourhood
+# of [0, 1] whose size sets the number of panels: the singularities lie at
+# |s| >= sqrt(2) from 0, |s| >= 2^(1/3) from -1 and |u| >= 2^(1/6) from
+# infinity, while a segment from i can pass within 1/sqrt(13) of a
+# prevertex (see _region), so it takes four panels.
+_REGIONS = tuple((f, *_rule(panels)) for f, panels in (
+    (_from_zero, 1), (_from_minus_one, 1), (_from_infinity, 2),
+    (functools.partial(_segment, 1j), 4)))
+
+
+def _integral(region: int, q):
+    """Integral of the region's integrand over [0, 1], for a scalar q or a column of points.
+
+    Each point's value is the sum of one row, so a batch gives the values
+    of its points one at a time, bit for bit.
+    """
+    f, nodes, weights = _REGIONS[region]
+    return (f(q, nodes) * weights).sum(axis=-1).tolist()
 
 
 def _region(z: complex):
@@ -152,14 +117,13 @@ def _region(z: complex):
         return 1, z + 1.0
     if abs(z) > 2.0:
         return 2, z
-    # segments from i stay at distance > 0.4 from both finite prevertices
+    # segments from i stay farther than 1/sqrt(13) = 0.2774 from both finite
+    # prevertices; the bound is approached as z -> -1.5 along |z + 1| = 0.5
     return 3, z - 1j
 
 
-def _piece(region: int, q, integral=None) -> complex:
+def _piece(region: int, q, integral) -> complex:
     """Raw integral between the region's base point (0, -1, infinity, i) and z."""
-    if integral is None:
-        integral = _integral(_REGIONS[region], q)
     if region == 3:
         return integral
     if region == 2:
@@ -175,14 +139,18 @@ class _MapData:
     __slots__ = ("raw_c1", "raw_ci", "raw_vinf", "constant", "v_inf")
 
     def __init__(self):
-        self.raw_c1 = _piece(0, -0.5 + 0j) - _piece(1, 0.5 + 0j)
-        self.raw_ci = _piece(0, 0.5j) + _integral(functools.partial(_segment, 0.5j), 0.5j)
+        def reach(region, q):
+            return _piece(region, q, _integral(region, q))
+
+        self.raw_c1 = reach(0, -0.5 + 0j) - reach(1, 0.5 + 0j)
+        # to i/2 from 0, then back along the segment from i to i/2
+        self.raw_ci = reach(0, 0.5j) - reach(3, -0.5j)
         self.constant = 1.0 / self.raw_c1
-        tail = 6.0 * _integral(_from_infinity, 1.0)
-        self.raw_vinf = self._raw(*_region(1.0 + 0j)) + tail
+        tail = 6.0 * _integral(2, 1.0)
+        self.raw_vinf = self.raw_ci + reach(3, 1.0 - 1j) + tail
         self.v_inf = self.constant * self.raw_vinf
 
-    def _raw(self, region: int, q, integral=None) -> complex:
+    def _raw(self, region: int, q, integral) -> complex:
         piece = _piece(region, q, integral)
         if region == 0:
             return piece
@@ -193,16 +161,20 @@ class _MapData:
         return self.raw_ci + piece
 
     def forward(self, z: complex) -> complex:
-        return self.constant * self._raw(*_region(z))
+        region, q = _region(z)
+        return self.constant * self._raw(region, q, _integral(region, q))
 
     def forward_many(self, zs) -> list:
         """forward(z) for each point of zs, with each region's points in array calls."""
         parts = [_region(z) for z in zs]
         integrals = [None] * len(parts)
-        for region, f in enumerate(_REGIONS):
+        for region in range(len(_REGIONS)):
             idx = [i for i, (r, _) in enumerate(parts) if r == region]
-            for i, integral in zip(idx, _integrals(f, np.array([parts[i][1] for i in idx]))):
-                integrals[i] = integral
+            for start in range(0, len(idx), _BLOCK):
+                block = idx[start:start + _BLOCK]
+                column = np.array([parts[i][1] for i in block])[:, None]
+                for i, integral in zip(block, _integral(region, column)):
+                    integrals[i] = integral
         return [self.constant * self._raw(r, q, integral)
                 for (r, q), integral in zip(parts, integrals)]
 

@@ -17,17 +17,17 @@ def beta(a, b):
 def test_normalization_constant_against_beta_integral():
     # the image of [-1, 0] is the unit segment, so A = 1 / (i B(1/2, 1/3))
     tm = sc.triangle_map()
-    assert abs(tm.constant - (-1j / beta(0.5, 1.0 / 3.0))) < 1e-12
+    assert abs(tm.constant - (-1j / beta(0.5, 1.0 / 3.0))) < 1e-15
 
 
 def test_vertices():
     tm = sc.triangle_map()
     v0, v1, v2 = tm.vertices
     assert v0 == 0j
-    assert abs(v1 - 1.0) < 1e-13
+    assert abs(v1 - 1.0) < 1e-15
     # third vertex from the tail integral B(1/2, 1/6) / B(1/2, 1/3) = sqrt(3)
-    assert abs(v2 - (-1j * math.sqrt(3))) < 1e-12
-    assert abs(beta(0.5, 1.0 / 6.0) / beta(0.5, 1.0 / 3.0) - math.sqrt(3)) < 1e-12
+    assert abs(v2 - (-1j * math.sqrt(3))) < 1e-15
+    assert abs(beta(0.5, 1.0 / 6.0) / beta(0.5, 1.0 / 3.0) - math.sqrt(3)) < 1e-15
 
 
 def test_interior_angles_from_boundary_tangents():
@@ -166,11 +166,57 @@ def test_boundary_correspondence_table():
 
 
 # ---------------------------------------------------------------------------
-# slow oracle: the per-point quadrature with three rule calls per panel and
-# one closure per point.  The module's batched quadrature evaluates the same
-# nodes in fewer, larger calls, so every value must match it bit for bit.
+# closed forms, with no quadrature: near 0 the substitution t = z s^2 turns
+# the map into Euler's integral, F(z) = 2 A sqrt(z) 2F1(1/2, 2/3; 3/2; -z),
+# and near infinity F(z) = v_inf - 6 A z^(-1/6) (1 + O(1/z)).
+
+_A = -1j / beta(0.5, 1.0 / 3.0)
+_V_INF = -1j * math.sqrt(3)
+
+
+def _hyp2f1(a, b, c, x, terms=80):
+    term = total = 1.0 + 0j
+    for n in range(terms - 1):
+        term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * x
+        total += term
+    return total
+
+
+def _max_relative_gap(fast, exact):
+    return max(abs(f - e) / abs(e) for f, e in zip(fast, exact))
+
+
+def test_forward_near_zero_against_series():
+    rng = np.random.default_rng(29)
+    radii, angles = rng.uniform(0.0, 0.5, 200).tolist(), rng.uniform(0.0, math.pi, 200).tolist()
+    points = [r * cmath.exp(1j * t) for r, t in zip(radii, angles)]
+    points += [0.5, -0.5, 0.5j, 1e-300, -1e-300, complex(-1e-300, 0.0)]
+    exact = [2.0 * _A * cmath.sqrt(z) * _hyp2f1(0.5, 2.0 / 3.0, 1.5, -z) for z in points]
+    # |z| <= 0.5 keeps the 80th term below 1e-24; measured maximum 1.6e-15,
+    # most of it the rounding of the series itself
+    assert _max_relative_gap([sc.sc_forward(z) for z in points], exact) < 2e-15
+    assert sc.sc_forward(0.0) == 0
+
+
+def test_forward_near_infinity_against_power_law():
+    points = [r * cmath.exp(1j * t) for r in (1e15, 1e40, 1e200)
+              for t in np.linspace(0.0, math.pi, 19)]
+    points += [1e300, 1e300j, complex(-1e300, 0.0)]
+    exact = [_V_INF - 6.0 * _A * cmath.exp(-cmath.log(z) / 6.0) for z in points]
+    # the O(1/z) term is below 1e-17 from |z| = 1e15; measured maximum 2.6e-16
+    assert _max_relative_gap([sc.sc_forward(z) for z in points], exact) < 2e-15
+
+
+# ---------------------------------------------------------------------------
+# slow oracle: adaptive per-point quadrature, three rule calls per panel and
+# one closure per point, converged to 1e-12 on every panel.  The module's
+# fixed panels evaluate other nodes, so values agree to a relative 1e-14
+# (measured maximum 1.3e-15); a batch and one point share their nodes, so
+# those agree bit for bit.
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
+_ORACLE_TOL = 1e-12
+_REL_TOL = 1e-14
 
 
 def _gl_fixed(f, a, b):
@@ -179,7 +225,7 @@ def _gl_fixed(f, a, b):
     return half * complex(np.sum(_GL_W * f(mid + half * _GL_X)))
 
 
-def _adaptive(f, a, b, tol=sc.QUAD_TOL, depth=0):
+def _adaptive(f, a, b, tol=_ORACLE_TOL, depth=0):
     whole = _gl_fixed(f, a, b)
     mid = 0.5 * (a + b)
     left = _gl_fixed(f, a, mid)
@@ -223,6 +269,7 @@ class _Oracle:
         self.raw_vinf = self.raw_ci + _raw_segment(1j, 1.0 + 0j) + tail
 
     def forward(self, z):
+        z = complex(z)  # a float below -1 would take the log of a negative float
         if abs(z) <= 0.5:
             raw = _raw_from_zero(z)
         elif abs(z + 1.0) <= 0.5:
@@ -238,19 +285,24 @@ class _Oracle:
 _ORACLE = _Oracle()
 
 
+def _assert_close_to_oracle(fast, points):
+    slow = [_ORACLE.forward(z) for z in points]
+    assert all(abs(f - s) <= _REL_TOL * abs(s) for f, s in zip(fast, slow))
+
+
 def _assert_forward_matches_oracle(points):
     points = [complex(z) for z in points]
     fast = [sc.sc_forward(z) for z in points]
-    slow = [_ORACLE.forward(z) for z in points]
-    assert [repr(w) for w in fast] == [repr(w) for w in slow]
-    # the batch over all points at once is the same map
-    assert [repr(w) for w in sc._data().forward_many(points)] == [repr(w) for w in slow]
+    _assert_close_to_oracle(fast, points)
+    # the batch over all points at once is the same map, bit for bit
+    assert [repr(w) for w in sc._data().forward_many(points)] == [repr(w) for w in fast]
 
 
 def test_map_data_matches_oracle():
     d = sc._data()
     for name in ("raw_c1", "raw_ci", "raw_vinf", "constant"):
-        assert repr(getattr(d, name)) == repr(getattr(_ORACLE, name))
+        slow = getattr(_ORACLE, name)
+        assert abs(getattr(d, name) - slow) <= _REL_TOL * abs(slow)
 
 
 def test_forward_matches_oracle_in_every_region():
@@ -276,20 +328,38 @@ def test_forward_matches_oracle_on_real_axis():
     _assert_forward_matches_oracle(points)
 
 
-def _oracle_boundary(table):
-    """Each arc's abscissas mapped by the oracle, in the table's layout."""
-    return [{"arc": arc["arc"],
-             "samples": [{"x": s["x"], "re": w.real, "im": w.imag}
-                         for s in arc["samples"]
-                         for w in [_ORACLE.forward(complex(s["x"], 0.0))]]}
-            for arc in table]
+def test_segments_from_i_clear_the_prevertices():
+    # the four panels of the segment rule are sized on this clearance; a grid
+    # over region 3 and its boundary circles, just outside the other regions
+    xs, ys = np.meshgrid(np.linspace(-2.0, 2.0, 401), np.linspace(0.0, 2.0, 201))
+    rim = np.exp(1j * np.linspace(0.0, math.pi, 20001))
+    zs = [z for z in np.concatenate(((xs + 1j * ys).ravel(), (0.5 + 1e-12) * rim,
+                                     -1.0 + (0.5 + 1e-12) * rim, 2.0 * rim)).tolist()
+          if z != 1j and sc._region(z)[0] == 3]
+    spans = np.array(zs) - 1j
+    clearance = np.inf
+    for prevertex in (0.0, -1.0):
+        t = np.clip(((prevertex - 1j) * spans.conjugate()).real / abs(spans) ** 2, 0.0, 1.0)
+        clearance = np.minimum(clearance, abs(1j + t * spans - prevertex))
+    # the infimum 1/sqrt(13), on the segment to -1.5, is approached but not reached
+    assert 1.0 / math.sqrt(13.0) < clearance.min() < 1.0 / math.sqrt(13.0) + 1e-6
+
+
+def _boundary_points(table):
+    return [complex(s["x"], 0.0) for arc in table for s in arc["samples"]]
+
+
+def _boundary_values(table):
+    return [complex(s["re"], s["im"]) for arc in table for s in arc["samples"]]
 
 
 @pytest.mark.parametrize("samples", [1, 2, 30, 300])
 def test_boundary_correspondence_matches_oracle(samples):
     table = sc.boundary_correspondence(samples)
     assert [len(arc["samples"]) for arc in table] == [samples] * 3
-    assert repr(table) == repr(_oracle_boundary(table))
+    points, values = _boundary_points(table), _boundary_values(table)
+    _assert_close_to_oracle(values, points)
+    assert [repr(w) for w in values] == [repr(sc.sc_forward(z)) for z in points]
 
 
 def test_boundary_correspondence_across_blocks_matches_oracle():
@@ -298,7 +368,9 @@ def test_boundary_correspondence_across_blocks_matches_oracle():
     per_arc = [Counter(sc._region(complex(s["x"], 0.0))[0] for s in arc["samples"])
                for arc in table]
     assert max(max(counts.values()) for counts in per_arc) > sc._BLOCK
-    assert repr(table) == repr(_oracle_boundary(table))
+    points, values = _boundary_points(table), _boundary_values(table)
+    _assert_close_to_oracle(values, points)
+    assert [repr(w) for w in values] == [repr(sc.sc_forward(z)) for z in points]
 
 
 def _triangle_points(rng, count):
@@ -311,19 +383,21 @@ def _triangle_points(rng, count):
     return points
 
 
-def test_inverse_and_butterfly_match_oracle(monkeypatch):
+def test_inverse_and_butterfly_match_oracle():
+    # the oracle's forward map carries each preimage back onto its target;
+    # measured maximum 9.9e-13 for both
     _, v_center, v_black = sc.triangle_map().vertices
     rng = np.random.default_rng(23)
     targets = _triangle_points(rng, 25)
-    doubled = targets[:10] + [sc._reflect(p, v_center, v_black) for p in targets[10:20]]
-
-    def run():
-        return ([repr(sc.sc_inverse(w)) for w in targets],
-                [repr(sc.butterfly_belyi(p)) for p in doubled])
-
-    fast = run()
-    monkeypatch.setattr(sc._MapData, "forward", lambda self, z: _ORACLE.forward(z))
-    assert run() == fast
+    preimages = [sc.sc_inverse(w) for w in targets]
+    # the butterfly's preimage is zeta / (1 - zeta), and the mirror side is conjugate
+    zetas = [sc.butterfly_belyi(w).z for w in targets[:10]]
+    zetas += [sc.butterfly_belyi(sc._reflect(w, v_center, v_black)).z.conjugate()
+              for w in targets[10:20]]
+    preimages += [zeta / (1.0 - zeta) for zeta in zetas]
+    for z, w in zip(preimages, targets + targets[:20]):
+        z = complex(z.real, max(z.imag, 0.0))
+        assert abs(_ORACLE.forward(z) - w) <= 2 * sc.NEWTON_TOL * max(1.0, abs(w))
 
 
 @pytest.mark.parametrize("call, point", [
@@ -334,21 +408,3 @@ def test_inverse_and_butterfly_match_oracle(monkeypatch):
 def test_non_finite_points_rejected(call, point):
     with pytest.raises(ValueError, match="not a finite point"):
         call(point)
-
-
-def _nan_integrand(calls):
-    def f(q, s):
-        calls.append(np.shape(s))
-        assert len(calls) == 1, "a non-finite panel was refined"
-        return np.full(np.broadcast_shapes(np.shape(q), np.shape(s)), complex("nan"))
-    return f
-
-
-def test_adaptive_stops_on_non_finite_sum():
-    calls = []
-    assert cmath.isnan(sc._adaptive(_nan_integrand(calls), 0.1j, 0.0, 1.0, 1.0 + 0j))
-    assert len(calls) == 1
-    # the batched first panels go through the same test
-    calls.clear()
-    assert all(cmath.isnan(v) for v in sc._integrals(_nan_integrand(calls), np.zeros(3, complex)))
-    assert len(calls) == 1
