@@ -13,6 +13,11 @@ point and a column of many points go through the same rule.  All
 fractional powers are principal-branch, which is continuous on the closed
 upper half-plane.
 
+The inverse is damped Newton, started from the two-term inverse of the
+vertex series whose local variable (|z|, |z+1| or |1/z|) is smallest.
+Within about 7e-3 of the pi/3 vertex that series is itself the preimage to
+rounding, closer than any Newton residual test can reach.
+
 Doubling the triangle across its hypotenuse and following the inverse map
 with z -> z/(z+1) produces the degree-1 covering of the sphere by one
 butterfly: the right-angle vertex goes to 0, the pi/6 vertex to 1, the
@@ -203,34 +208,73 @@ def sc_forward(z) -> complex:
         raise ValueError(f"{z} is not a finite point")
     if z.imag < 0:
         raise BranchViolation(f"{z} lies in the open lower half-plane")
-    return _data().forward(z)
+    # -0.0 would put the principal powers on the lower branch of the real axis
+    return _data().forward(complex(z.real, z.imag + 0.0))
+
+
+def _integrand_at(t: complex) -> complex:
+    """``_integrand`` at one point, in closed form with cmath."""
+    return cmath.exp(-0.5 * cmath.log(t) - (2.0 / 3.0) * cmath.log(t + 1.0))
+
+
+def _upper(z: complex) -> complex:
+    # max(-0.0, 0.0) is -0.0; adding +0.0 lands on the upper branch
+    return complex(z.real, max(z.imag, 0.0) + 0.0)
+
+
+def _pi3_sigma(w: complex, d: "_MapData") -> complex:
+    """sigma = (z+1)^(1/3) from w, inverting w = 1 - 3iA sigma (1 + sigma^3/8 + ...)."""
+    r1 = (w - 1.0) / (-3j * d.constant)
+    return r1 * (1.0 - r1 * r1 * r1 / 8.0)
+
+
+# Below this |sigma| the pi/3 vertex series is the preimage to rounding: the
+# next term of sigma is sigma^7/112, so -1 + sigma^3 moves by about
+# sigma^9/37, under 3e-20 and far below half an ulp of -1.  Newton cannot do
+# as well there, because |F'| ~ |z+1|^(-2/3) turns one ulp of z into
+# residuals above NEWTON_TOL once |sigma| < 3e-3.
+_PI3_SERIES_RADIUS = 1e-2
 
 
 def _newton_starts(w: complex, d: "_MapData"):
-    # Local power expansions at the three vertices seed targets that land
-    # near a prevertex, where plain Newton oscillates on fractional powers:
-    #   F(z) ~ 2 A z^(1/2) near 0,  1 - 3 i A (z+1)^(1/3) near -1,
-    #   F(z) ~ v_inf - 6 A z^(-1/6) near infinity.
+    # Two-term inverses of the vertex series, each convergent while its
+    # local variable (|z|, |z+1|, |1/z|) is below 1, with the smallest first:
+    #   F(z) = 2 A s (1 - (2/9) s^2 + ...),          s = z^(1/2),
+    #   F(z) = 1 - 3 i A sigma (1 + sigma^3/8 + ...),  sigma = (z+1)^(1/3),
+    #   F(z) = v_inf - 6 A zeta (1 - (2/21) zeta^6 + ...),  zeta = z^(-1/6).
+    # Plain powers would overflow; products give inf or nan, which are dropped.
     a = d.constant
-    seeds = [1j]
-    with np.errstate(all="ignore"):
-        near_zero = (w / (2.0 * a)) ** 2
-        near_minus_one = -1.0 + (w - 1.0) ** 3 / (-3j * a) ** 3
-        ratio = (d.v_inf - w) / (6.0 * a)
-        near_inf = ratio ** -6 if ratio != 0 else None
-    for cand in (near_minus_one, near_zero, near_inf):
-        if cand is not None and cmath.isfinite(cand):
-            seeds.append(complex(cand.real, max(cand.imag, 0.0)))
-    seeds += [0.5j, 2j, -0.5 + 0.5j, 0.5 + 0.5j]
-    return seeds
+    r0 = w / (2.0 * a)
+    s = r0 * (1.0 + (2.0 / 9.0) * r0 * r0)
+    z0 = s * s
+    sigma = _pi3_sigma(w, d)
+    sigma3 = sigma * sigma * sigma
+    ri = (d.v_inf - w) / (6.0 * a)
+    ri3 = ri * ri * ri
+    zeta = ri * (1.0 + (2.0 / 21.0) * ri3 * ri3)
+    zeta3 = zeta * zeta * zeta
+    zeta6 = zeta3 * zeta3
+    series = [(abs(z0), z0), (abs(sigma3), -1.0 + sigma3)]
+    if zeta6 != 0:
+        series.append((abs(zeta6), 1.0 / zeta6))
+    series = sorted((pair for pair in series if cmath.isfinite(pair[1])),
+                    key=lambda pair: pair[0])
+    return [_upper(z) for _, z in series] + [1j, 0.5j, 2j, -0.5 + 0.5j, 0.5 + 0.5j]
 
 
 def sc_inverse(w) -> complex:
-    """Damped-Newton inversion of the forward map onto the closed half-plane."""
+    """Damped-Newton inversion of the forward map onto the closed half-plane.
+
+    Within about 7e-3 of the pi/3 vertex w = 1 the preimage is the vertex
+    series -1 + sigma^3, which is exact to rounding there.
+    """
     w = complex(w)
     if not cmath.isfinite(w):
         raise ValueError(f"{w} is not a finite point")
     d = _data()
+    sigma = _pi3_sigma(w, d)
+    if abs(sigma) <= _PI3_SERIES_RADIUS:
+        return _upper(-1.0 + sigma * sigma * sigma)
     scale = max(1.0, abs(w))
     for start in _newton_starts(w, d):
         z = start
@@ -241,8 +285,7 @@ def sc_inverse(w) -> complex:
             if abs(z) < 1e-12 or abs(z + 1.0) < 1e-12:
                 z += 1e-9 * (1 + 1j)  # step off the integrand singularity
                 err = d.forward(z) - w
-            deriv = d.constant * complex(_integrand(z))
-            step = err / deriv
+            step = err / (d.constant * _integrand_at(z))
             limit = max(0.5, 0.5 * abs(z))
             if abs(step) > limit:
                 step *= limit / abs(step)
@@ -250,9 +293,7 @@ def sc_inverse(w) -> complex:
             improved = False
             damping = 1.0
             while damping >= 1.0 / 64.0:
-                cand = z - damping * step
-                if cand.imag < 0:
-                    cand = complex(cand.real, 0.0)
+                cand = _upper(z - damping * step)
                 cand_err = d.forward(cand) - w
                 if abs(cand_err) < abs(err):
                     z, err = cand, cand_err

@@ -299,6 +299,28 @@ def check_triangle_map() -> CheckResult:
         if abs(f(sc.sc_inverse(w)) - w) >= 1e-9:
             failures.append(f"round trip fails at z = {z}")
             break
+    # Round trips 1e-3 to 1e-9 from each vertex toward the centroid.  Near the
+    # pi/3 vertex no double preimage reaches the target to better than about
+    # a fifth of that distance, so the strict trip starts from the image of
+    # the first preimage.  The butterfly contracts near each vertex, so its
+    # sphere point must match that preimage to the Newton tolerance.
+    normalize = MoebiusTransform([[1, 0], [1, 1]])
+    centroid = sum(tm.vertices) / 3
+    for vertex in tm.vertices:
+        toward = (centroid - vertex) / abs(centroid - vertex)
+        for d in np.geomspace(1e-3, 1e-9, 7).tolist():
+            target = vertex + d * toward
+            try:
+                z = sc.sc_inverse(target)
+                w = f(z)
+                back = abs(f(sc.sc_inverse(w)) - w)
+                gap = chordal_distance(sc.butterfly_belyi(w), normalize.apply(z))
+            except DessinsError as exc:
+                failures.append(f"round trip raises at w = {target}: {exc}")
+                continue
+            if abs(w - target) >= 0.5 * d or back >= 1e-9 or gap >= sc.NEWTON_TOL:
+                failures.append(f"round trip misses at w = {target}: {abs(w - target):.2e} "
+                                f"from it, {back:.2e} back, {gap:.2e} on the sphere")
     v_white, v_center, v_black = tm.vertices
     for vertex, target in ((v_white, 0j), (v_black, 1 + 0j), (v_center, None)):
         image = sc.butterfly_belyi(vertex)

@@ -408,3 +408,97 @@ def test_inverse_and_butterfly_match_oracle():
 def test_non_finite_points_rejected(call, point):
     with pytest.raises(ValueError, match="not a finite point"):
         call(point)
+
+
+# ---------------------------------------------------------------------------
+# the Newton inverse: vertex-series seeds, the pi/3 vertex and its cost
+
+def _hard_targets():
+    """Uniform triangle points with no margin, points along each side, and
+    points 1e-1 to 1e-12 from each vertex on the line to the centroid."""
+    vertices = sc.triangle_map().vertices
+    v0, v1, v2 = vertices
+    rng = np.random.default_rng(31)
+    targets = []
+    while len(targets) < 2000:
+        a, b = rng.uniform(0.0, 1.0, 2)
+        if a + b <= 1.0:
+            targets.append(v0 + a * (v1 - v0) + b * (v2 - v0))
+    # the ends of each side are vertices, and v_inf has no finite preimage
+    for start, end in ((v0, v1), (v1, v2), (v2, v0)):
+        targets += [start + t * (end - start) for t in np.linspace(0.0, 1.0, 202)[1:-1]]
+    centroid = sum(vertices) / 3
+    for v in vertices:
+        toward = (centroid - v) / abs(centroid - v)
+        targets += [v + d * toward for d in np.geomspace(1e-1, 1e-12, 12)]
+    return targets
+
+
+def _pi3_sigma(w):
+    # three terms of the inverse of (w - 1) / (-3iA) = sigma + sigma^4/8 + 3 sigma^7/56
+    r1 = (w - 1.0) / (-3j * _A)
+    return r1 - r1 ** 4 / 8.0 + r1 ** 7 / 112.0
+
+
+def test_inverse_and_butterfly_succeed_on_hard_targets():
+    targets = _hard_targets()
+    assert len(targets) == 2636
+    # Newton alone failed on these, within 2e-3 of the pi/3 vertex
+    targets += [0.999 + 0j, 0.9999 - 5e-05j]
+    _, v_center, v_black = sc.triangle_map().vertices
+    near_pi3 = 0
+    for w in targets:
+        z = sc.sc_inverse(w)
+        zeta = sc.butterfly_belyi(w)
+        assert not zeta.is_infinity or abs(w - v_center) < 1e-12
+        assert math.copysign(1.0, z.imag) == 1.0
+        sigma = _pi3_sigma(w)
+        if abs(sigma) <= sc._PI3_SERIES_RADIUS:
+            # no double reaches a residual of 1e-12 here; the preimage is
+            # -1 + sigma^3 rounded: half an ulp of z near -1, and the
+            # rounding of sigma^3
+            near_pi3 += 1
+            assert abs((z + 1.0) - sigma ** 3) <= 2.0 ** -53 + 1e-15 * abs(sigma) ** 3
+        else:
+            assert abs(_ORACLE.forward(z) - w) <= 2 * sc.NEWTON_TOL * max(1.0, abs(w))
+    assert near_pi3 >= 12  # the centroid line from 1e-3 inward, and the two above
+
+
+@pytest.mark.parametrize("x", [-3.0, -1.2, -0.3, 0.4, 3.0])
+def test_forward_ignores_the_sign_of_a_zero_imaginary_part(x):
+    assert repr(sc.sc_forward(complex(x, -0.0))) == repr(sc.sc_forward(complex(x, 0.0)))
+    # the clamp on Newton's starts and steps lands on +0.0 too
+    assert math.copysign(1.0, sc._upper(complex(x, -0.0)).imag) == 1.0
+
+
+def test_newton_cost_per_point(monkeypatch):
+    calls = [0]
+    forward = sc._MapData.forward
+
+    def counted(self, z):
+        calls[0] += 1
+        return forward(self, z)
+
+    monkeypatch.setattr(sc._MapData, "forward", counted)
+    starts = sc._newton_starts
+    # the first start alone converges on every point
+    monkeypatch.setattr(sc, "_newton_starts", lambda w, d: starts(w, d)[:1])
+    targets = _triangle_points(np.random.default_rng(37), 200)
+    for w in targets:
+        sc.sc_inverse(w)
+    # measured mean 3.4; from the fixed start at i it was 10.5
+    assert calls[0] / len(targets) <= 4.0
+
+
+def test_closed_form_integrand_matches_array_integrand():
+    rng = np.random.default_rng(41)
+    points = [complex(rng.uniform(-r, r), rng.uniform(0.0, r))
+              for r in (0.6, 1.6, 3.0, 40.0) for _ in range(50)]
+    assert {sc._region(z)[0] for z in points} == {0, 1, 2, 3}
+    points += [complex(x, 0.0) for x in np.linspace(-0.99, -0.01, 50).tolist()]
+    angles = np.linspace(0.0, math.pi, 37)
+    points += [c + r * cmath.exp(1j * t) for c, r in ((0.0, 0.5), (-1.0, 0.5), (0.0, 2.0))
+               for t in angles]
+    for z in points:
+        exact = complex(sc._integrand(z))
+        assert abs(sc._integrand_at(z) - exact) <= 1e-15 * abs(exact)
