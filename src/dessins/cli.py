@@ -132,11 +132,11 @@ def cmd_metric(args) -> int:
                         "ordered by decreasing orbit size")
     metric = build(group)
 
-    rows = mt.metric_grid_rows(metric, n=args.grid, step=args.step)
+    columns = mt.metric_grid_columns(metric, n=args.grid, step=args.step)
     out_path = args.out or f"metric_grid.{args.format}"
-    payload = mt.format_grid_csv(rows) if args.format == "csv" else mt.format_grid_json(rows)
+    payload = (mt.format_columns_csv if args.format == "csv" else mt.format_columns_json)(columns)
 
-    curvatures = [row[4] for row in rows]
+    curvatures = columns[4].tolist()
     diagnostics = {
         "invariance_defect": mt.invariance_defect(metric, group, 200),
         "curvature_min": min(curvatures),
@@ -158,7 +158,7 @@ def cmd_metric(args) -> int:
         "group": {"order": group.order, "type": str(group.type_tag)},
         "dessin": dessin_summary,
         "grid": {"path": out_path, "format": args.format, "size": args.grid,
-                 "step": args.step, "rows": len(rows)},
+                 "step": args.step, "rows": len(curvatures)},
         "seed": args.seed,
         "diagnostics": diagnostics,
         "warnings": warnings,

@@ -37,7 +37,6 @@ Constructions:
 from __future__ import annotations
 
 import itertools
-import math
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -326,70 +325,79 @@ def grid_points(n: int = 40) -> np.ndarray:
     return z[np.abs(z) <= 1.0]
 
 
-def metric_grid_rows(g: ConformalMetric, n: int = 40,
-                     step: float = DEFAULT_CURVATURE_STEP):
-    """Grid rows (re, im, chart, rho, curvature) over both charts.
+def metric_grid_columns(g: ConformalMetric, n: int = 40,
+                        step: float = DEFAULT_CURVATURE_STEP):
+    """Grid columns (re, im, chart, rho, curvature) over both charts, as numpy arrays.
 
-    rho is the centre of the curvature stencil, so each point is evaluated
-    once per stencil offset.
+    rho is the centre of the curvature stencil, so each point is evaluated once per offset.
     """
     pts = grid_points(n)
-    rows = []
-    for chart in ("finite", "infinity"):
+    charts = np.array(["finite", "infinity"], dtype=object)
+    rho, curv = [], []
+    for chart in charts:
         vals = _stencil_values(g, chart, pts, step)
-        curv = _laplacian_curvature(vals, step)
-        rows.extend(zip(pts.real.tolist(), pts.imag.tolist(), itertools.repeat(chart),
-                        vals[0].tolist(), curv.tolist()))
-    return rows
+        curv.append(_laplacian_curvature(vals, step))
+        rho.append(vals[0])
+    return (np.tile(pts.real, 2), np.tile(pts.imag, 2), np.repeat(charts, len(pts)),
+            np.concatenate(rho), np.concatenate(curv))
+
+
+def metric_grid_rows(g: ConformalMetric, n: int = 40,
+                     step: float = DEFAULT_CURVATURE_STEP):
+    """The grid columns as rows (re, im, chart, rho, curvature) of Python values."""
+    return list(zip(*(col.tolist() for col in metric_grid_columns(g, n, step))))
 
 
 GRID_HEADER = "re,im,chart,rho,curvature"
 _JSON_ROW = ' {\n  "chart": %s,\n  "curvature": %s,\n  "im": %s,\n  "re": %s,\n  "rho": %s\n }'
 
 
-class _Memo(dict):
-    """fmt(x) looked up per distinct x; a grid has only n distinct re and im values.
-
-    Zeros are never stored: 0.0 == -0.0 as keys, but they format apart.
-    A NaN never equals a stored key, so each one formats itself.
-    """
-
-    def __init__(self, fmt):
-        super().__init__()
-        self.fmt = fmt
-
-    def __missing__(self, x):
-        text = self.fmt(x)
-        if x:
-            self[x] = text
-        return text
-
-
 def _json_float(x) -> str:
-    """x as json.dumps writes it (float.__repr__ keeps np.float64 plain)."""
-    if math.isfinite(x):
-        return float.__repr__(x)
+    """A non-finite float as json.dumps writes it."""
     return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
 
 
+def _column_texts(col, json: bool = False) -> list[str]:
+    """The floats of a column as CSV (17 digits) or JSON text (``%r`` is float.__repr__).
+
+    Each distinct 64-bit pattern is formatted once; keying on bits keeps 0.0 and -0.0 apart.
+    """
+    bits, inverse = np.unique(np.asarray(col, dtype=float).view(np.int64), return_inverse=True)
+    values = bits.view(float)
+    texts = ("%r," if json else "%.17g,") * len(values) % tuple(values.tolist())
+    texts = np.array(texts.split(",")[:-1], dtype=object)
+    if json:
+        odd = ~np.isfinite(values)
+        texts[odd] = [_json_float(x) for x in values[odd].tolist()]
+    return texts[inverse].tolist()
+
+
+def format_columns_csv(columns) -> str:
+    """Grid columns (re, im, chart, rho, curvature) as CSV, floats with 17 significant digits."""
+    re_, im_, chart, rho, curv = columns
+    return "\n".join([GRID_HEADER, *map(",".join, zip(
+        _column_texts(re_), _column_texts(im_), chart, _column_texts(rho), _column_texts(curv))), ""])
+
+
+def format_columns_json(columns) -> str:
+    """Grid columns as json.dumps of their rows as objects (sort_keys=True, indent=1) + newline."""
+    re_, im_, chart, rho, curv = columns
+    if not len(chart):
+        return "[]\n"
+    names = {name: encode_basestring_ascii(name) for name in set(chart)}
+    texts = [_column_texts(col, json=True) for col in (curv, im_, re_, rho)]  # sorted keys
+    rows = map(_JSON_ROW.__mod__, zip(map(names.__getitem__, chart), *texts))
+    return "[\n" + ",\n".join(rows) + "\n]\n"
+
+
 def format_grid_csv(rows) -> str:
-    """Grid rows as CSV, floats with 17 significant digits."""
-    coord = _Memo("{:.17g}".format)
-    lines = [f"{coord[re_]},{coord[im_]},{chart},{rho:.17g},{curv:.17g}\n"
-             for re_, im_, chart, rho, curv in rows]
-    lines.insert(0, GRID_HEADER + "\n")  # one list and one join: no second copy of the text
-    return "".join(lines)
+    """Grid rows (re, im, chart, rho, curvature) as CSV: format_columns_csv of their columns."""
+    return format_columns_csv(list(zip(*rows)) or [()] * 5)
 
 
 def format_grid_json(rows) -> str:
     """Grid rows as json.dumps(grid_rows_as_json(rows), sort_keys=True, indent=1) + newline."""
-    if not rows:
-        return "[]\n"
-    coord, chart_text = _Memo(_json_float), _Memo(encode_basestring_ascii)
-    return "[\n" + ",\n".join([
-        _JSON_ROW % (chart_text[chart], _json_float(curv), coord[im_], coord[re_],
-                     _json_float(rho))
-        for re_, im_, chart, rho, curv in rows]) + "\n]\n"
+    return format_columns_json(list(zip(*rows)) or [()] * 5)
 
 
 def grid_rows_as_json(rows) -> list[dict]:

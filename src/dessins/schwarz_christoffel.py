@@ -272,6 +272,8 @@ def sc_inverse(w) -> complex:
     if not cmath.isfinite(w):
         raise ValueError(f"{w} is not a finite point")
     d = _data()
+    if w == d.v_inf:
+        raise ValueError(f"{w} is the pi/6 vertex, the image of the point at infinity")
     sigma = _pi3_sigma(w, d)
     if abs(sigma) <= _PI3_SERIES_RADIUS:
         return _upper(-1.0 + sigma * sigma * sigma)

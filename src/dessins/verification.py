@@ -260,20 +260,25 @@ def check_grid_determinism() -> CheckResult:
     def build():
         g = from_type("A4")
         metric = mt.averaged_metric(conjugate_group(g, MoebiusTransform.translation(1 + 1j)))
+        columns = mt.metric_grid_columns(metric, n=12)
         rows = mt.metric_grid_rows(metric, n=12)
-        return rows, mt.format_grid_csv(rows), mt.format_grid_json(rows)
-    rows, csv_text, json_text = build()
-    failures = []
-    if build()[1:] != (csv_text, json_text):
-        failures.append("runs differ")
-    parsed = [(e["re"], e["im"], e["chart"], e["rho"], e["curvature"])
-              for e in json.loads(json_text)]
-    if parsed != rows:
-        failures.append("JSON grid does not parse back to the rows")
+        return (rows, mt.format_columns_csv(columns), mt.format_columns_json(columns),
+                mt.format_grid_csv(rows), mt.format_grid_json(rows))
+    rows, csv_text, json_text, *adapted = build()
+    failures = [] if build()[1:3] == (csv_text, json_text) else ["runs differ"]
+    if adapted != [csv_text, json_text]:
+        failures.append("the row writers differ from the column writers")
+    from_json = [(e["re"], e["im"], e["chart"], e["rho"], e["curvature"])
+                 for e in json.loads(json_text)]
+    from_csv = [(float(a), float(b), c, float(d), float(e))
+                for a, b, c, d, e in (line.split(",") for line in csv_text.splitlines()[1:])]
+    for name, parsed in (("JSON", from_json), ("CSV", from_csv)):
+        if repr(parsed) != repr(rows):  # repr tells apart all doubles but NaNs; rows hold none
+            failures.append(f"{name} grid does not parse back to the rows bit for bit")
     ok = not failures
     return CheckResult(10, "grid emission is byte-deterministic", ok,
-                       "two from-scratch runs identical as CSV and as JSON, and the JSON "
-                       "parses back to the rows" if ok else "; ".join(failures))
+                       "two from-scratch runs and the row and column writers identical as CSV "
+                       "and as JSON; both parse back bit for bit" if ok else "; ".join(failures))
 
 
 # ---------------------------------------------------------------------------

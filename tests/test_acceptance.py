@@ -6,6 +6,10 @@ acceptance report.  The same checks back the ``dessins verify`` command.
 
 import json
 
+import numpy as np
+import pytest
+
+from dessins import metrics as mt
 from dessins import verification as vf
 from dessins.cli import main
 
@@ -77,3 +81,24 @@ def test_criterion_10_cli_determinism(tmp_path, capsys):
     mark = "PASS" if identical else "FAIL"
     print(f"[{mark}] criterion 10: repeated runs with a fixed seed are byte-identical")
     assert identical
+
+
+def test_criterion_10_grid_emission():
+    # two runs, the row and the column writers agree; CSV and JSON parse back bit for bit
+    _run(vf.check_grid_determinism)
+
+
+def _one_ulp_lower_rho(write):
+    return lambda cols: write((*cols[:3], np.nextafter(np.asarray(cols[3], dtype=float), 0), cols[4]))
+
+
+@pytest.mark.parametrize("name, patch, failure", [
+    ("format_grid_json", lambda write: lambda rows: write(rows).replace("\n }", "\n  }"),
+     "the row writers differ from the column writers"),
+    ("format_columns_csv", _one_ulp_lower_rho, "CSV grid does not parse back to the rows bit for bit"),
+    ("format_columns_json", _one_ulp_lower_rho, "JSON grid does not parse back to the rows bit for bit"),
+])
+def test_criterion_10_grid_emission_catches_drift(name, patch, failure, monkeypatch):
+    monkeypatch.setattr(mt, name, patch(getattr(mt, name)))
+    result = vf.check_grid_determinism()
+    assert not result.passed and result.detail == failure

@@ -138,6 +138,40 @@ def test_metric_deterministic_bytes(fmt, tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("construction", ["average", "conjugate", "hermitian", "orbit"])
+@pytest.mark.parametrize("source", ["tag", "generators"])
+def test_metric_grid_and_curvatures_match_the_row_writers(source, construction, fmt,
+                                                          tmp_path, capsys):
+    # the row functions are what a replay of the command computes
+    from dessins import metrics as mt
+    from dessins.finite_groups import closure
+    from dessins.grouptypes import parse_group_tag
+    from dessins.moebius import standard_generators
+    gens = standard_generators(parse_group_tag("A4"))
+    if source == "tag":
+        args = ["--group", "A4"]
+    else:
+        m = MoebiusTransform([[1.1, 0.2j], [0.1, 0.9]])
+        gens = [m.compose(g).compose(m.inverse()) for g in gens]
+        path = tmp_path / "gens.json"
+        path.write_text(json.dumps([g.to_entries() for g in gens]))
+        gens = [MoebiusTransform.from_entries(g.to_entries()) for g in gens]
+        args = ["--generators", str(path)]
+    out = tmp_path / f"grid.{fmt}"
+    assert main(["metric", *args, "--construction", construction, "--grid", "11",
+                 "--format", fmt, "--out", str(out)]) == 0
+    diagnostics = json.loads(capsys.readouterr().out)["diagnostics"]
+    build = {"average": mt.averaged_metric, "conjugate": mt.conjugated_metric,
+             "hermitian": mt.hermitian_metric, "orbit": mt.orbit_triple_metric}[construction]
+    rows = mt.metric_grid_rows(build(closure(gens)), n=11)
+    assert out.read_text() == (mt.format_grid_csv(rows) if fmt == "csv" else mt.format_grid_json(rows))
+    curvatures = [row[4] for row in rows]
+    expected = [min(curvatures), max(curvatures), max(curvatures) - min(curvatures)]
+    got = [diagnostics[f"curvature_{k}"] for k in ("min", "max", "spread")]
+    assert [x.hex() for x in got] == [x.hex() for x in expected]
+
+
 def test_verify_sc_scope(capsys):
     assert main(["verify", "sc"]) == 0
     out = capsys.readouterr().out

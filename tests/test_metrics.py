@@ -1,10 +1,13 @@
 import json
 import math
+import struct
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dessins import finite_groups as fg
 from dessins import metrics as mt
@@ -253,9 +256,28 @@ def _oracle_grid_json(rows):
     return json.dumps(mt.grid_rows_as_json(rows), sort_keys=True, indent=1) + "\n"
 
 
-def _assert_writers_match_oracles(rows):
-    assert mt.format_grid_csv(rows) == _oracle_grid_csv(rows)
-    assert mt.format_grid_json(rows) == _oracle_grid_json(rows)
+def _columns_of(rows):
+    """The five columns of the rows: float64 arrays, and the charts as an object array."""
+    re_, im_, chart, rho, curv = zip(*rows) if rows else ((),) * 5
+    return (np.array(re_, dtype=float), np.array(im_, dtype=float),
+            np.array(chart, dtype=object), np.array(rho, dtype=float), np.array(curv, dtype=float))
+
+
+def _assert_writers_match_oracles(rows, columns=None):
+    """Both column writers and both row adapters give the oracles' bytes."""
+    columns = _columns_of(rows) if columns is None else columns
+    csv_text, json_text = _oracle_grid_csv(rows), _oracle_grid_json(rows)
+    assert mt.format_grid_csv(rows) == csv_text
+    assert mt.format_columns_csv(columns) == csv_text
+    assert mt.format_grid_json(rows) == json_text
+    assert mt.format_columns_json(columns) == json_text
+
+
+def _grid_rows_and_columns(metric, n):
+    rows = mt.metric_grid_rows(metric, n=n)
+    columns = mt.metric_grid_columns(metric, n=n)
+    assert rows == list(zip(*(np.asarray(col).tolist() for col in columns)))
+    return rows, columns
 
 
 @pytest.mark.parametrize("n", [3, 12, 41, 80])
@@ -265,9 +287,16 @@ def test_grid_writers_match_oracles(build, n):
     base = fg.from_type("D3")
     moved = fg.conjugate_group(base, mb.MoebiusTransform([[1.1, 0.2j], [0.1, 0.9]]))
     for g in (base, moved):
-        rows = mt.metric_grid_rows(build(g), n=n)
+        rows, columns = _grid_rows_and_columns(build(g), n)
         assert {row[2] for row in rows} == {"finite", "infinity"}
-        _assert_writers_match_oracles(rows)
+        _assert_writers_match_oracles(rows, columns)
+
+
+def test_grid_writers_match_oracles_on_symmetric_grid():
+    # a symmetric grid repeats most of its values: 5.9% of its rho values are distinct
+    rows, columns = _grid_rows_and_columns(mt.conjugated_metric(fg.from_type("D6")), 200)
+    assert len(np.unique(columns[3])) < 0.1 * len(rows)
+    _assert_writers_match_oracles(rows, columns)
 
 
 def test_grid_writers_match_oracles_on_edge_rows():
@@ -287,6 +316,35 @@ def test_grid_writers_match_oracles_on_edge_rows():
     _assert_writers_match_oracles([])
     for row in rows:
         _assert_writers_match_oracles([row])
+
+
+def _float_of_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# both zeros, NaNs of both signs and other payloads (quiet and signalling),
+# both infinities and subnormals; +-1.7e308 and 0.1 join them in the pool
+_SPECIAL_BITS = [0x0000000000000000, 0x8000000000000000, 0x7FF8000000000000,
+                 0xFFF8000000000000, 0x7FF8000000000001, 0xFFF4000000000000,
+                 0x7FF0000000000001, 0x7FF0000000000000, 0xFFF0000000000000,
+                 0x0000000000000001, 0x800FFFFFFFFFFFFF, 0x0008000000000000]
+
+
+@st.composite
+def _pooled_rows(draw):
+    """Grid rows whose floats come from a small pool of bit patterns, so values repeat."""
+    arbitrary = draw(st.lists(st.integers(0, 2**64 - 1), max_size=6))
+    pool = [_float_of_bits(b) for b in _SPECIAL_BITS + arbitrary] + [1.7e308, -1.7e308, 0.1]
+    cell = st.builds(lambda x, wrap: np.float64(x) if wrap else x,
+                     st.sampled_from(pool), st.booleans())
+    chart = st.sampled_from(["finite", "infinity", 'a "quoted" name \u00e9'])
+    return draw(st.lists(st.tuples(cell, cell, chart, cell, cell), max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pooled_rows())
+def test_grid_writers_match_oracles_on_pooled_bit_patterns(rows):
+    _assert_writers_match_oracles(rows)
 
 
 def test_sphere_samples_cover_both_charts():

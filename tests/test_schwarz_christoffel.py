@@ -410,6 +410,22 @@ def test_non_finite_points_rejected(call, point):
         call(point)
 
 
+def test_inverse_rejects_the_pi6_vertex_without_a_forward_call(monkeypatch):
+    # the preimage of v_inf is the point at infinity; one ulp away it is huge but finite
+    v_inf = sc.triangle_map().vertices[2]
+
+    def forward(self, z):
+        raise AssertionError("forward map evaluated")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sc._MapData, "forward", forward)
+        with pytest.raises(ValueError, match="pi/6 vertex"):
+            sc.sc_inverse(v_inf)
+    z = sc.sc_inverse(complex(v_inf.real, math.nextafter(v_inf.imag, 0.0)))
+    assert 1e94 < abs(z) < 1e95
+    assert sc.butterfly_belyi(v_inf) == SpherePoint(1 + 0j)
+
+
 # ---------------------------------------------------------------------------
 # the Newton inverse: vertex-series seeds, the pi/3 vertex and its cost
 
