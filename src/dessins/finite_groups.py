@@ -1,11 +1,11 @@
 """Finite Moebius groups as read-only (order, 2, 2) stacks of determinant-1 matrices.
 
 Groups are built by breadth-first closure of a generating set with
-projective deduplication, classified through their element-order census
-(one power walk of the whole stack), and conjugated into the rotation
-group by averaging the Hermitian forms A^H A over the stack (the averaged
-form H is positive definite; its triangular factor conjugates the group
-onto projectively unitary matrices).
+projective deduplication (one array pass per frontier), classified through
+their element-order census (one shrinking power walk of the stack), and
+conjugated into the rotation group by averaging the Hermitian forms A^H A
+over the stack (the averaged form H is positive definite; its triangular
+factor conjugates the group onto projectively unitary matrices).
 """
 
 from __future__ import annotations
@@ -22,9 +22,11 @@ from .errors import (CyclicGroupUnsupported, InfiniteGroup, NumericalAmbiguity,
 from .grouptypes import GroupType, classify_census, parse_group_tag
 from .moebius import (DEFAULT_ORDER_CAP, PROJECTIVE_TOL, MoebiusTransform,
                       SpherePoint, chordal_gap, element_orders, fixed_points,
-                      homogeneous, projective_gap, standard_generators)
+                      homogeneous, normalizing_root, projective_gap,
+                      standard_generators)
 
 DEFAULT_CLOSURE_CAP = 200
+CLOSURE_BLOCK = 64  # products compared per call; bounds the temporary at 64 x stack
 CLUSTER_TOL = 1e-8  # chordal distance identifying sphere points
 SPREAD_SAMPLES = 200  # sphere samples per comparison of two conjugated metrics
 SPREAD_CONDITION = 100.0  # condition cap of their random conjugators
@@ -88,40 +90,58 @@ def classify_elements(elements) -> GroupType:
     return _classify(np.array([m.matrix for m in elements]).reshape(-1, 2, 2))
 
 
-def closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteMoebiusGroup:
-    """Breadth-first product closure with projective deduplication.
+def _nearest(signed: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Per m of a (B, 2, 2) block, ``projective_gap(rows, m).min()`` bit for bit (inf if none),
+    from ``signed`` (4, n, 2) holding each row's entries as M and -M; negation is exact."""
+    gaps = np.abs(signed.reshape(4, -1, 1) - block.reshape(-1, 4).T[:, None])
+    return gaps.max(axis=0).min(axis=0, initial=np.inf)
 
-    Raises InfiniteGroup past ``cap`` elements and NumericalAmbiguity if a
-    product lands in the unreliable band between the dedup tolerance and
-    ten times it.
+
+def closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteMoebiusGroup:
+    """Breadth-first product closure with projective deduplication, one frontier per pass.
+
+    A round's products come from one stacked matmul; blocks of CLOSURE_BLOCK are
+    matched in one call against earlier rounds, the rest in order, as if registered
+    one at a time.  Raises InfiniteGroup past ``cap`` elements, NumericalAmbiguity
+    between the dedup tolerance and ten times it, ValueError where MoebiusTransform would.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    stack = np.empty((cap, 2, 2), dtype=complex)
-    stack[0] = np.eye(2)
+    signed = np.empty((4, cap, 2), dtype=complex)  # entry, row, sign: each M and -M
+    signed[:, 0] = [[1, -1], [0, 0], [0, 0], [1, -1]]
     size = 1
-
-    def register(m: np.ndarray) -> bool:
-        nonlocal size
-        best = projective_gap(stack[:size], m).min()
-        if best < PROJECTIVE_TOL:
-            return False
-        if best < 10 * PROJECTIVE_TOL:
-            raise NumericalAmbiguity(
-                f"two elements at projective distance {best:.3e}; "
-                "tighten the generators")
-        if size == cap:
-            raise InfiniteGroup(f"closure exceeded {cap} elements")
-        stack[size] = m
-        size += 1
-        return True
-
-    gens = [MoebiusTransform(g.matrix).matrix for g in generators]
-    frontier = [g for g in gens if register(g)]
-    while frontier:
-        products = (MoebiusTransform(w @ g).matrix for w in frontier for g in gens)
-        frontier = [p for p in products if register(p)]
-    stack = stack[:size].copy()
+    gens = np.array([MoebiusTransform(g.matrix).matrix for g in generators]).reshape(-1, 2, 2)
+    candidates, error = gens, None
+    while True:
+        start = size
+        for lo in range(0, len(candidates), CLOSURE_BLOCK):
+            block = candidates[lo:lo + CLOSURE_BLOCK]
+            for m, best in zip(block, _nearest(signed[:, :start], block)):
+                if best >= PROJECTIVE_TOL and size > start:
+                    best = np.minimum(best, _nearest(signed[:, start:size], m)[0])
+                if best < PROJECTIVE_TOL:
+                    continue
+                if best < 10 * PROJECTIVE_TOL:
+                    raise NumericalAmbiguity(
+                        f"two elements at projective distance {best:.3e}; "
+                        "tighten the generators")
+                if size == cap:
+                    raise InfiniteGroup(f"closure exceeded {cap} elements")
+                signed[:, size, 0], signed[:, size, 1] = m.ravel(), -m.ravel()
+                size += 1
+        if error is not None:
+            raise error
+        if size == start:
+            break
+        products = np.matmul(signed[:, start:size, 0].T.reshape(-1, 1, 2, 2), gens[None])
+        roots = []
+        try:
+            for row in products.reshape(-1, 4).tolist():
+                roots.append(normalizing_root(*row))
+        except ValueError as exc:  # raised once the rows before it are registered
+            error = exc
+        candidates = products.reshape(-1, 2, 2)[:len(roots)] / np.array(roots)[:, None, None]
+    stack = signed[:, :size, 0].T.reshape(-1, 2, 2).copy()
     return FiniteMoebiusGroup(stack, _classify(stack))
 
 

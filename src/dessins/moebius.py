@@ -81,8 +81,15 @@ def chordal_distance(p: SpherePoint, q: SpherePoint) -> float:
 # ---------------------------------------------------------------------------
 # transformations
 
-def _canonical_sqrt(d: complex) -> complex:
-    r = cmath.sqrt(d)
+def normalizing_root(a: complex, b: complex, c: complex, d: complex) -> complex:
+    """The root of a d - b c with real part >= 0 (ties: imaginary part >= 0);
+    ValueError if the determinant overflows or is singular."""
+    det = a * d - b * c  # Python complex: overflows to inf or nan without a warning
+    if not abs(det.real) + abs(det.imag) <= sys.float_info.max:  # also false for nan
+        raise ValueError("matrix determinant overflows")
+    if abs(det) < 1e-14:
+        raise ValueError("matrix is singular")
+    r = cmath.sqrt(det)
     if r.real < 0 or (r.real == 0 and r.imag < 0):
         r = -r
     return r
@@ -97,13 +104,7 @@ class MoebiusTransform:
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError("expected a 2x2 matrix")
-        a, b, c, d = m.ravel().tolist()
-        det = a * d - b * c  # Python complex: overflows to inf or nan without a warning
-        if not abs(det.real) + abs(det.imag) <= sys.float_info.max:  # also false for nan
-            raise ValueError("matrix determinant overflows")
-        if abs(det) < 1e-14:
-            raise ValueError("matrix is singular")
-        m = m / _canonical_sqrt(det)
+        m = m / normalizing_root(*m.ravel().tolist())
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -228,17 +229,20 @@ def projective_distance(m: MoebiusTransform, n: MoebiusTransform) -> float:
 
 
 def element_orders(stack: np.ndarray, cap: int = DEFAULT_ORDER_CAP) -> np.ndarray:
-    """Per matrix M of an (N, 2, 2) stack, the smallest n <= cap with M^n ~ I, else 0."""
+    """Per matrix M of an (N, 2, 2) stack, the smallest n <= cap with M^n ~ I, else 0;
+    a row leaves the power walk once its order is found."""
     if cap < 1:
         raise ValueError("cap must be at least 1")
     orders = np.zeros(len(stack), dtype=int)
-    power = stack
+    live, power = np.arange(len(stack)), stack
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing power is no identity
         for n in range(1, cap + 1):
-            orders[(orders == 0) & (projective_gap(power, np.eye(2)) < PROJECTIVE_TOL)] = n
-            if orders.all():
+            hit = projective_gap(power, np.eye(2)) < PROJECTIVE_TOL
+            orders[live[hit]] = n
+            live, power = live[~hit], power[~hit]
+            if not len(live):
                 break
-            power = power @ stack
+            power = power @ stack[live]
     return orders
 
 

@@ -1,14 +1,16 @@
 import cmath
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from dessins import finite_groups as fg
+from dessins import metrics as mt
 from dessins import moebius as mb
 from dessins.errors import (CyclicGroupUnsupported, InfiniteGroup,
                             NumericalAmbiguity, TrivialGroup)
-from dessins.grouptypes import GroupType, classify_census
+from dessins.grouptypes import GroupType, classify_census, parse_group_tag
 from test_moebius import _oracle_chordal_distance
 
 
@@ -265,3 +267,194 @@ def test_orbit_analysis_matches_point_by_point_oracle(tag):
         data = fg.orbit_analysis(g)
         assert repr(data) == repr(_oracle_orbit_analysis(g))  # bit-identical points
         assert fg.burnside_consistent(data)
+
+
+# The seed's closure (one MoebiusTransform and one whole-stack projective_gap
+# scan per product, products taken one at a time in frontier-major order) and
+# its power walk of the whole stack, kept as the oracles of the frontier
+# closure and of the shrinking walk.
+
+def _oracle_element_orders(stack, cap):
+    orders = np.zeros(len(stack), dtype=int)
+    power = stack
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, cap + 1):
+            orders[(orders == 0) & (mb.projective_gap(power, np.eye(2)) < mb.PROJECTIVE_TOL)] = n
+            if orders.all():
+                break
+            power = power @ stack
+    return orders
+
+
+def _oracle_closure(generators, cap=fg.DEFAULT_CLOSURE_CAP):
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    stack = np.empty((cap, 2, 2), dtype=complex)
+    stack[0] = np.eye(2)
+    size = 1
+
+    def register(m):
+        nonlocal size
+        best = mb.projective_gap(stack[:size], m).min()
+        if best < mb.PROJECTIVE_TOL:
+            return False
+        if best < 10 * mb.PROJECTIVE_TOL:
+            raise NumericalAmbiguity(
+                f"two elements at projective distance {best:.3e}; "
+                "tighten the generators")
+        if size == cap:
+            raise InfiniteGroup(f"closure exceeded {cap} elements")
+        stack[size] = m
+        size += 1
+        return True
+
+    gens = [mb.MoebiusTransform(g.matrix).matrix for g in generators]
+    frontier = [g for g in gens if register(g)]
+    while frontier:
+        products = (mb.MoebiusTransform(w @ g).matrix for w in frontier for g in gens)
+        frontier = [p for p in products if register(p)]
+    stack = stack[:size].copy()
+    orders = _oracle_element_orders(stack, max(mb.DEFAULT_ORDER_CAP, len(stack)))
+    return stack, _oracle_tag(orders.tolist())
+
+
+def _closure_outcome(closure, generators, cap=fg.DEFAULT_CLOSURE_CAP):
+    """Stack bytes, shape and tag, or the exception's type and message."""
+    try:
+        result = closure(generators, cap)
+    except (ValueError, InfiniteGroup, NumericalAmbiguity) as exc:
+        return type(exc), str(exc)
+    stack, tag = result if isinstance(result, tuple) else (result.stack, result.type_tag)
+    return stack.tobytes(), stack.shape, str(tag)
+
+
+def _assert_closure_matches_oracle(generators, cap=fg.DEFAULT_CLOSURE_CAP):
+    outcome = _closure_outcome(fg.closure, generators, cap)
+    assert outcome == _closure_outcome(_oracle_closure, generators, cap)
+    return outcome
+
+
+def _conjugated_generators(tag, count):
+    rng = np.random.default_rng([sum(map(ord, tag)), count])
+    gens = mb.standard_generators(parse_group_tag(tag))
+    for _ in range(count):
+        m = fg.random_conjugator(rng, 100.0)
+        yield [m.compose(g).compose(m.inverse()) for g in gens]
+
+
+def _serialized(g):
+    return [mb.MoebiusTransform.from_entries(e) for e in g.to_json()["elements"]]
+
+
+@pytest.mark.parametrize("tag", ["C1", "C2", "C3", "C7", "C12", "C30", "C60", "C119", "C199",
+                                 "C200", "C201", "C250", "D2", "D3", "D7", "D15", "D50", "D99",
+                                 "D100", "D101", "A4", "S4", "A5"])
+def test_closure_matches_oracle_on_tags_and_conjugates(tag):
+    expected = parse_group_tag(tag).expected_order
+    for gens in [mb.standard_generators(parse_group_tag(tag)), *_conjugated_generators(tag, 3)]:
+        outcome = _assert_closure_matches_oracle(gens)
+        if expected > fg.DEFAULT_CLOSURE_CAP:
+            assert outcome == (InfiniteGroup, "closure exceeded 200 elements")
+        else:
+            assert outcome[1:] == ((expected, 2, 2), tag)
+
+
+@pytest.mark.parametrize("tag", ["C2", "C5", "C12", "C30", "D3", "D6", "D15", "A4", "S4", "A5"])
+def test_closure_matches_oracle_on_serialized_lists_and_at_the_cap(tag):
+    for gens in [mb.standard_generators(parse_group_tag(tag)), *_conjugated_generators(tag, 1)]:
+        g = fg.closure(gens)
+        elements = _serialized(g)
+        for listed in (gens, elements, elements[::-1]):
+            assert _assert_closure_matches_oracle(listed)[1:] == ((g.order, 2, 2), tag)
+            assert _assert_closure_matches_oracle(listed, g.order)[1:] == ((g.order, 2, 2), tag)
+            assert _assert_closure_matches_oracle(listed, g.order - 1) == (
+                InfiniteGroup, f"closure exceeded {g.order - 1} elements")
+
+
+def test_closure_matches_oracle_on_perturbed_a5():
+    outcomes = []
+    for eps in (1e-12, 3e-9, 1e-8, 5e-8):
+        a, b = mb.standard_generators(parse_group_tag("A5"))
+        for moved in ([a, mb.MoebiusTransform(b.matrix * [[1, 1 + eps], [1, 1]])],
+                      [mb.MoebiusTransform(a.matrix + [[eps, 0], [0, 0]]), b]):
+            outcomes.append(_assert_closure_matches_oracle(moved))
+    kinds = {o[0] if o[0] in (InfiniteGroup, NumericalAmbiguity) else o[2] for o in outcomes}
+    assert {"A5", NumericalAmbiguity} <= kinds
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_closure_matches_oracle_on_random_generators(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(8):
+        gens = [mb.MoebiusTransform(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+                for _ in range(int(rng.integers(1, 4)))]
+        _assert_closure_matches_oracle(gens, int(rng.choice([5, 30, 200])))
+    # rotations of finite order about two random axes: mostly infinite groups
+    for _ in range(4):
+        t = cmath.exp(1j * cmath.pi / int(rng.integers(2, 13)))
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        u = np.array([[t, 0], [0, 1 / t]])
+        _assert_closure_matches_oracle([mb.MoebiusTransform(u),
+                                        mb.MoebiusTransform(q @ u @ q.conj().T)])
+
+
+def test_closure_raises_at_the_overflowing_product_in_order():
+    # round 1 is r r, r g, g r, g g, and only g g = diag(1e320, 1e-320) overflows:
+    # at cap 4, g r exceeds the cap before g g is reached
+    gens = [mb.MoebiusTransform([[0, 1j], [1j, 0]]),
+            mb.MoebiusTransform([[1e160, 0], [0, 1e-160]])]
+    with np.errstate(over="ignore", invalid="ignore"):
+        outcomes = [_assert_closure_matches_oracle(gens, cap) for cap in (3, 4, 5, 200)]
+    assert outcomes[1] == (InfiniteGroup, "closure exceeded 4 elements")
+    assert outcomes[2] == outcomes[3] == (ValueError, "matrix determinant overflows")
+
+
+@pytest.mark.parametrize("cap", [1, 120, 200])
+def test_element_orders_match_full_power_walk(cap):
+    rng = np.random.default_rng(cap)
+    free = np.array([mb.MoebiusTransform(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))).matrix
+                     for _ in range(40)])
+    assert not _oracle_element_orders(free, 200).any()  # no finite order up to 200
+    stacks = [fg.from_type(t).stack for t in ("C1", "C7", "D15", "A5", "C140", "D100")]
+    stacks += [fg.conjugate_group(fg.from_type(t), fg.random_conjugator(rng)).stack
+               for t in ("S4", "D50", "C60")]
+    stacks += [free, np.concatenate([free[:10], stacks[3], free[10:]]), free[:0]]
+    for stack in stacks:
+        assert mb.element_orders(stack, cap).tolist() == _oracle_element_orders(stack, cap).tolist()
+
+
+def test_closure_memory_is_bounded_on_a_serialized_a5():
+    # 60 generators: round 2 has 3540 products, compared in blocks of CLOSURE_BLOCK;
+    # compared all at once against the stack they would need about 40 MB
+    (gens,) = _conjugated_generators("A5", 1)
+    elements = _serialized(fg.closure(gens))
+    tracemalloc.start()
+    try:
+        g = fg.closure(elements)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.order == 60
+    assert peak < 2 * 2**20
+
+
+# The conjugator drawn for the serialized D15 op of the groups benchmark at
+# seed 23 (condition number 60.8).  The stack's entries reach 35 and it closes
+# only to 6.5e-11; the averaged metric's invariance defect is 4.4e-9, over
+# the benchmark's 1e-9.  This is the kernel's cancellation of ROADMAP item 7,
+# present before and after the frontier closure.
+_ILL_CONDITIONED = [[1.9428715327999269, -3.7556618701743365],
+                    [0.005445881336554236, 2.8348093221595922],
+                    [-4.3493234502604015, -2.164322048591115],
+                    [3.3650889275505413, 0.15278769954666033]]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="density cancellation on an ill-conditioned conjugate")
+def test_average_metric_invariance_on_an_ill_conditioned_serialized_d15():
+    m = mb.MoebiusTransform.from_normalized(
+        np.array([complex(*e) for e in _ILL_CONDITIONED]).reshape(2, 2))
+    g = fg.closure(_serialized(fg.conjugate_group(fg.from_type("D15"), m)))
+    if not (g.order == 30 and 55 < np.linalg.cond(m.matrix) < 65):
+        raise RuntimeError("the reproduction no longer builds the ill-conditioned D15")
+    assert mt.invariance_defect(mt.averaged_metric(g), g, 200) < 1e-9
