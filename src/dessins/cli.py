@@ -136,12 +136,13 @@ def cmd_metric(args) -> int:
     out_path = args.out or f"metric_grid.{args.format}"
     payload = (mt.format_columns_csv if args.format == "csv" else mt.format_columns_json)(columns)
 
-    curvatures = columns[4].tolist()
+    curvatures = columns[4]
+    curvature_min, curvature_max = float(curvatures.min()), float(curvatures.max())
     diagnostics = {
         "invariance_defect": mt.invariance_defect(metric, group, 200),
-        "curvature_min": min(curvatures),
-        "curvature_max": max(curvatures),
-        "curvature_spread": max(curvatures) - min(curvatures),
+        "curvature_min": curvature_min,
+        "curvature_max": curvature_max,
+        "curvature_spread": curvature_max - curvature_min,
     }
     if args.construction == "conjugate":
         diagnostics["well_definedness_distance"] = conjugator_well_defined(

@@ -268,15 +268,34 @@ def automorphisms(d: Dessin) -> PermGroup:
 
 
 def brute_force_automorphisms(d: Dessin) -> PermGroup:
-    """Independent oracle: filter all n! permutations (small n only)."""
+    """Independent oracle: the centralizer of sigma_white, filtered by sigma_black (small n only).
+
+    A permutation commuting with sigma_white sends each white cycle onto a
+    white cycle of the same length and is fixed by where each cycle's first
+    dart goes: every bijection between cycles of equal length, with every
+    start dart on the target cycle, is enumerated, and those commuting with
+    sigma_black are kept.
+    """
     import itertools
 
-    n = d.dart_count
+    sw, sb = d.sigma_white, d.sigma_black
+    by_length: dict[int, list[tuple[int, ...]]] = {}
+    for cycle in perms.cycles(sw):
+        by_length.setdefault(len(cycle), []).append(cycle)
+    classes = list(by_length.values())
+    maps_per_class = [[(targets, starts)
+                       for targets in itertools.permutations(cycles)
+                       for starts in itertools.product(range(len(cycles[0])), repeat=len(cycles))]
+                      for cycles in classes]
     els = []
-    for cand in itertools.permutations(range(n)):
-        if (perms.compose(cand, d.sigma_white) == perms.compose(d.sigma_white, cand)
-                and perms.compose(cand, d.sigma_black) == perms.compose(d.sigma_black, cand)):
-            els.append(cand)
+    for choice in itertools.product(*maps_per_class):
+        image = [0] * d.dart_count
+        for cycles, (targets, starts) in zip(classes, choice):
+            for cycle, target, start in zip(cycles, targets, starts):
+                for k, dart in enumerate(cycle):
+                    image[dart] = target[(start + k) % len(target)]
+        if all(image[sb[x]] == sb[image[x]] for x in range(d.dart_count)):
+            els.append(tuple(image))
     return PermGroup(els)
 
 

@@ -1,11 +1,12 @@
 """Finite Moebius groups as read-only (order, 2, 2) stacks of determinant-1 matrices.
 
 Groups are built by breadth-first closure of a generating set with
-projective deduplication (one array pass per frontier), classified through
-their element-order census (one shrinking power walk of the stack), and
-conjugated into the rotation group by averaging the Hermitian forms A^H A
-over the stack (the averaged form H is positive definite; its triangular
-factor conjugates the group onto projectively unitary matrices).
+projective deduplication (one array pass per frontier), keep the generators
+they were closed from, are classified through their element-order census
+(element orders in closed form from the traces), and are conjugated into
+the rotation group by averaging the Hermitian forms A^H A over the stack
+(the averaged form H is positive definite; its triangular factor conjugates
+the group onto projectively unitary matrices).
 """
 
 from __future__ import annotations
@@ -34,12 +35,20 @@ SPREAD_CONDITION = 100.0  # condition cap of their random conjugators
 
 @dataclass(frozen=True, eq=False)
 class FiniteMoebiusGroup:
-    """A finite group as one read-only (order, 2, 2) stack of determinant-1 matrices."""
+    """A finite group as one read-only (order, 2, 2) stack of determinant-1 matrices.
+
+    ``generators`` is a read-only stack of matrices generating the group: the
+    normalized inputs of ``closure``, or the whole stack when none are given.
+    """
     stack: np.ndarray
     type_tag: GroupType
+    generators: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.generators is None:
+            object.__setattr__(self, "generators", self.stack)
         self.stack.setflags(write=False)
+        self.generators.setflags(write=False)
 
     @property
     def order(self) -> int:
@@ -142,7 +151,7 @@ def closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteMoebiusGroup:
             error = exc
         candidates = products.reshape(-1, 2, 2)[:len(roots)] / np.array(roots)[:, None, None]
     stack = signed[:, :size, 0].T.reshape(-1, 2, 2).copy()
-    return FiniteMoebiusGroup(stack, _classify(stack))
+    return FiniteMoebiusGroup(stack, _classify(stack), gens)
 
 
 def from_type(tag: GroupType | str) -> FiniteMoebiusGroup:
@@ -153,8 +162,10 @@ def from_type(tag: GroupType | str) -> FiniteMoebiusGroup:
 
 
 def conjugate_group(g: FiniteMoebiusGroup, m: MoebiusTransform) -> FiniteMoebiusGroup:
-    """m G m^{-1} as one product of stacks; the type tag is preserved."""
-    return FiniteMoebiusGroup(m.matrix @ g.stack @ m.inverse().matrix, g.type_tag)
+    """m G m^{-1} as one product of stacks, generators too; the type tag is preserved."""
+    inverse = m.inverse().matrix
+    return FiniteMoebiusGroup(m.matrix @ g.stack @ inverse, g.type_tag,
+                              m.matrix @ g.generators @ inverse)
 
 
 def averaged_hermitian_form(g: FiniteMoebiusGroup) -> np.ndarray:

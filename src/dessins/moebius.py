@@ -16,6 +16,7 @@ through three points are single formulas on those pairs.
 from __future__ import annotations
 
 import cmath
+import math
 import sys
 from dataclasses import dataclass
 
@@ -26,6 +27,12 @@ from .grouptypes import GroupType
 
 PROJECTIVE_TOL = 1e-9
 DEFAULT_ORDER_CAP = 120  # twice the largest finite subgroup order
+_EYE = np.eye(2)
+_EYE.setflags(write=False)
+# element_orders: eps, the bound in turns on n log(l1/l2) modulo 2 pi i, from PROJECTIVE_TOL,
+# and the largest cap for which every candidate is a multiple of the first
+_ORDER_TURNS = -math.log1p(-8 * PROJECTIVE_TOL / (1 - 4 * PROJECTIVE_TOL)) / (2 * math.pi)
+_MAX_ORDER_CAP = int(0.5 / math.sqrt(_ORDER_TURNS))
 
 
 # ---------------------------------------------------------------------------
@@ -229,21 +236,73 @@ def projective_distance(m: MoebiusTransform, n: MoebiusTransform) -> float:
 
 
 def element_orders(stack: np.ndarray, cap: int = DEFAULT_ORDER_CAP) -> np.ndarray:
-    """Per matrix M of an (N, 2, 2) stack, the smallest n <= cap with M^n ~ I, else 0;
-    a row leaves the power walk once its order is found."""
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    orders = np.zeros(len(stack), dtype=int)
-    live, power = np.arange(len(stack)), stack
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing power is no identity
-        for n in range(1, cap + 1):
-            hit = projective_gap(power, np.eye(2)) < PROJECTIVE_TOL
-            orders[live[hit]] = n
-            live, power = live[~hit], power[~hit]
-            if not len(live):
+    """Per determinant-1 matrix M of an (N, 2, 2) stack, the smallest n <= cap with
+    M^n ~ +-I, else 0.
+
+    The eigenvalues of M are l1, l2 = s e^h, s e^-h with s^2 = det M and
+    s cosh h = tr(M)/2.  If M^n is within tau' = 2 tau of s'I entrywise (tau =
+    PROJECTIVE_TOL, s' = +-1; the second tau covers the rounding of a product
+    walk), then l1^n and l2^n lie within 2 tau' of s', as the 2-norm of a 2x2
+    matrix is at most twice its largest entry; so |(l1/l2)^n - 1| <= delta =
+    4 tau'/(1 - 2 tau') and n L, with L = log(l1/l2) = 2h, lies within
+    -log(1 - delta) of 2 pi i Z.  Every n at which M^n passes the test is
+    therefore a candidate: n f lies within eps = -log(1 - delta)/(2 pi) of an
+    integer, f = Im L/(2 pi).
+
+    The smallest candidate q is a best approximation of f (every m < q is
+    farther from Z), hence a continued-fraction denominator of f, and the
+    next one exceeds 1/eps - q > cap; so it is the last denominator up to
+    cap.  Only that power is formed, by Cayley-Hamilton, and tested against
+    +-I at PROJECTIVE_TOL, like n = 1, which is M itself.
+
+    No later candidate passes where q fails.  The gcd g of q and a candidate n
+    has ||g f|| <= 2 cap eps, at most 1/(2 cap) for cap <= 1/(2 sqrt(eps)),
+    while every m < q has ||m f|| > 1/(2q); so g = q and n = kq.  With P the
+    eigenprojector of l2 and L_n = n L reduced mod 2 pi i,
+    M^n = +-e^(-L_n/2) (I + (e^(L_n) - 1) P), so M^n -+ I is about
+    +-L_n (P - I/2) and the gap at kq is about k times the gap at q.
+    Coincident eigenvalues (h = 0) have no denominator up to cap, so only
+    n = 1 is tested for them.
+    """
+    if not 1 <= cap <= _MAX_ORDER_CAP:
+        raise ValueError(f"cap must be from 1 to {_MAX_ORDER_CAP}")
+    stack = np.asarray(stack, dtype=complex)
+    rows = len(stack)
+    with np.errstate(all="ignore"):  # an overflowing or singular row is no identity
+        a, b, c, d = stack[:, 0, 0], stack[:, 0, 1], stack[:, 1, 0], stack[:, 1, 1]
+        half_trace = (a + d) * 0.5
+        s = np.sqrt(a * d - b * c)
+        h = np.arccosh(half_trace / s)
+        turns = h.imag * (1 / np.pi)  # f of L = 2h, up to sign and a whole turn
+        f = np.abs(turns)
+        f = np.minimum(f, 1 - f)
+        # nearest-integer continued fraction: its denominators are those of the regular
+        # one that are not followed by a partial quotient 1, so they keep the candidate
+        cand, q, q_prev, rest = np.full(rows, np.inf), 1.0, 0.0, f
+        while True:
+            reciprocal = np.reciprocal(rest)
+            quotient = np.rint(reciprocal)
+            rest = reciprocal - quotient
+            q, q_prev = quotient * q + q_prev, q
+            size = np.abs(q)
+            inside = size <= cap
+            if not np.count_nonzero(inside):
                 break
-            power = power @ stack[live]
-    return orders
+            np.copyto(cand, size, where=inside)
+        # M^cand = a_n M + (s^n cosh(nh) - a_n tr(M)/2) I by Cayley-Hamilton, with
+        # a_n = (l1^n - l2^n)/(l1 - l2) = s^(n-1) sinh(nh)/sinh(h).  Taking the whole
+        # half turns off nh first flips the sign of both terms and leaves no rounding,
+        # so a trace-0 involution squares to exactly -I, as its product does.
+        nh = cand * h
+        nh.imag -= np.pi * np.rint(cand * turns)
+        s_n = s ** cand
+        a_n = np.sinh(nh) * s_n / (s * np.sinh(h))
+        shift = s_n * np.cosh(nh) - a_n * half_trace
+        powers = stack * a_n[:, None, None]
+        powers[:, 0, 0] += shift
+        powers[:, 1, 1] += shift
+        hit = projective_gap(np.concatenate([stack, powers]), _EYE) < PROJECTIVE_TOL
+    return np.where(hit[:rows], 1, np.where(hit[rows:], cand, 0)).astype(int)
 
 
 def element_order(m: MoebiusTransform, cap: int = DEFAULT_ORDER_CAP) -> int | None:

@@ -346,6 +346,22 @@ def test_metric_kernel_overflow_one_line(construction, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("construction", ["average", "hermitian"])
+@pytest.mark.parametrize("offset", ["2e5", "2e10", "2e30"])
+def test_metric_far_translated_involution_is_invariant(offset, construction, tmp_path):
+    # z -> -z + c: the samples it moves lie near c, where the density's digits
+    # cancelled (defects 2.5e-5, 1.0 and 1.0); the pulled-back stack S @ h is
+    # evaluated at the samples themselves
+    gens = tmp_path / "gens.json"
+    gens.write_text(f"[[[0,1],[0,-{offset}],[0,0],[0,-1]]]")
+    code, stdout, err = _run_quietly(["metric", "--generators", str(gens), "--construction",
+                                      construction, "--grid", "8", "--out", str(tmp_path / "g.csv")])
+    assert (code, err) == (0, "")
+    report = json.loads(stdout)
+    assert report["group"] == {"order": 2, "type": "C2"}
+    assert report["diagnostics"]["invariance_defect"] < 1e-9
+
+
 def test_metric_generators_in_ambiguity_band_exit_2(tmp_path):
     # both of order 8; products land in the band next to the dedup tolerance
     rot = MoebiusTransform.scaling(cmath.exp(2j * cmath.pi / 8))

@@ -225,6 +225,52 @@ def test_automorphism_group_properties(d):
         assert aut == dd.brute_force_automorphisms(d)
 
 
+# The seed's brute force, now the oracle of brute_force_automorphisms: filter
+# all n! permutations by both commutation relations.
+
+def _oracle_permutation_filter(d):
+    import itertools
+
+    els = [cand for cand in itertools.permutations(range(d.dart_count))
+           if perms.compose(cand, d.sigma_white) == perms.compose(d.sigma_white, cand)
+           and perms.compose(cand, d.sigma_black) == perms.compose(d.sigma_black, cand)]
+    return dd.PermGroup(els)
+
+
+def test_brute_force_automorphisms_matches_permutation_filter_exhaustively():
+    import itertools
+
+    for n in range(1, 5):
+        for sw in itertools.permutations(range(n)):
+            for sb in itertools.permutations(range(n)):
+                if perms.is_transitive((sw, sb), n):
+                    d = dd.Dessin(n, sw, sb)
+                    assert dd.brute_force_automorphisms(d) == _oracle_permutation_filter(d)
+
+
+@st.composite
+def small_dessins(draw):
+    """Transitive dessins of at most 6 darts; sigma_white often has repeated cycle lengths."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    if draw(st.booleans()):
+        size = draw(st.sampled_from([k for k in range(1, n + 1) if n % k == 0]))
+        sw = tuple(d + 1 if (d + 1) % size else d + 1 - size for d in range(n))
+    else:
+        sw = tuple(draw(st.permutations(list(range(n)))))
+    sb = tuple(draw(st.permutations(list(range(n)))))
+    if not perms.is_transitive((sw, sb), n):
+        sb = tuple((i + 1) % n for i in range(n))
+    return dd.Dessin(n, sw, sb)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_dessins())
+def test_brute_force_automorphisms_matches_permutation_filter(d):
+    aut = dd.brute_force_automorphisms(d)
+    assert aut == _oracle_permutation_filter(d)
+    assert aut == dd.automorphisms(d)
+
+
 # ---------------------------------------------------------------------------
 # Oracles for automorphisms and classify_perm_group: per-target propagation of
 # dart 0 and the census of every element's order over all its cycles.

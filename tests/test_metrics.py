@@ -13,6 +13,7 @@ from dessins import finite_groups as fg
 from dessins import metrics as mt
 from dessins import moebius as mb
 from dessins.errors import CyclicGroupUnsupported, StencilOutOfDomain
+from dessins.verification import WIDE_CONDITION, check_invariance
 
 
 def chart_compatibility_defect(g, samples=64):
@@ -201,6 +202,80 @@ def test_invariance_defect_reference_cases():
     rnd = mt.round_metric()
     assert mt.invariance_defect(rnd, fg.from_type("D6"), 200) < 1e-10
     assert mt.invariance_defect(rnd, involution_group(), 200) > 0.01
+
+
+# The seed's invariance defect, kept as the oracle of the sup over the
+# generators: the kernel at the samples moved by every element of the group.
+
+def _oracle_moved_point_defect(metric, grp, samples=200):
+    p, r = mt._sample_points(samples)
+    base = metric._density(p, r)
+    worst = 0.0
+    for (a, b), (c, d) in grp.stack:
+        moved = abs(a * d - b * c) ** 2 * metric._density(a * p + b * r, c * p + d * r)
+        worst = max(worst, float(np.max(np.abs(moved - base) / base)))
+    return worst
+
+
+def _criterion_5_groups(seed):
+    """The groups of verify criterion 5 at this seed, plus wide conjugates of A5 and D6."""
+    rng = np.random.default_rng(seed)
+    groups = [fg.from_type(t) for t in ("C5", "C6", "D3", "D6", "A4", "S4", "A5")]
+    return groups + [fg.conjugate_group(fg.from_type(t), fg.random_conjugator(rng, WIDE_CONDITION))
+                     for t in ("D3", "A4", "S4", "A5", "D6")]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_generator_sup_and_moved_point_oracle_agree_on_invariance(seed):
+    for g in _criterion_5_groups(seed):
+        assert len(g.generators) < g.order
+        everything = fg.FiniteMoebiusGroup(g.stack, g.type_tag)  # generated by its whole stack
+        builds = [(mt.averaged_metric, 1e-9), (mt.hermitian_metric, 1e-9)]
+        if not g.type_tag.is_cyclic:
+            builds.append((mt.conjugated_metric, 1e-8))
+        for build, tol in builds:
+            metric = build(g)
+            assert mt.invariance_defect(metric, g, 200) < tol
+            assert mt.invariance_defect(metric, everything, 200) < tol
+            assert _oracle_moved_point_defect(metric, g, 200) < tol
+
+
+def test_criterion_5_passes_where_moved_samples_cancelled():
+    # verify metrics at this seed draws an A4 conjugate whose moved-sample defect
+    # read 1.08e-9 (average) and 1.25e-9 (hermitian), over the 1e-9 bound
+    result = check_invariance(476023420)
+    assert result.passed, result.detail
+
+
+def test_invariance_defect_is_the_generator_sup():
+    g = involution_group()
+    off = fg.FiniteMoebiusGroup(g.stack, g.type_tag,
+                                np.array([mb.MoebiusTransform.scaling(2.0).matrix]))
+    rnd = mt.round_metric()
+    # the same density pulled back along z -> 2z, wherever the group would send it
+    expected = mt.metric_distance(mt.pullback(mb.MoebiusTransform.scaling(2.0), rnd), rnd, 200)
+    assert mt.invariance_defect(rnd, off, 200) == pytest.approx(expected, rel=1e-12)
+    assert mt.invariance_defect(rnd, fg.FiniteMoebiusGroup(g.stack[:1], g.type_tag), 200) == 0.0
+
+
+@pytest.mark.parametrize("source", ["tag", "conjugate", "json"])
+def test_invariance_defect_calls_the_kernel_once_per_generator(source, monkeypatch):
+    g = fg.from_type("A5")
+    if source == "conjugate":
+        g = fg.conjugate_group(g, fg.random_conjugator(np.random.default_rng(3), 10.0))
+    elif source == "json":
+        g = fg.FiniteMoebiusGroup.from_json(g.to_json())
+    metric = mt.hermitian_metric(g)
+    calls = []
+    density = mt.ConformalMetric._density
+
+    def counted(self, p, r):
+        calls.append(len(p))
+        return density(self, p, r)
+
+    monkeypatch.setattr(mt.ConformalMetric, "_density", counted)
+    assert mt.invariance_defect(metric, g, 200) < 1e-9
+    assert len(calls) == 1 + len(g.generators) == (61 if source == "json" else 3)
 
 
 def test_metric_distance_properties():
