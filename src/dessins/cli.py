@@ -17,6 +17,7 @@ exclusion, 4 genus mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -28,7 +29,7 @@ from . import metrics as mt
 from . import schwarz_christoffel as sc
 from .errors import (CyclicGroupUnsupported, Disconnected, GenusMismatch,
                      MalformedInput, NotAPermutation, NumericalAmbiguity,
-                     StencilOutOfDomain, UnsupportedType)
+                     UnsupportedType)
 from .finite_groups import (DEFAULT_CLOSURE_CAP, closure, conjugator_well_defined,
                             is_in_SO3)
 from .grouptypes import parse_group_tag
@@ -132,7 +133,7 @@ def cmd_metric(args) -> int:
                         "ordered by decreasing orbit size")
     metric = build(group)
 
-    columns = mt.metric_grid_columns(metric, n=args.grid, step=args.step)
+    columns = mt.metric_grid_columns(metric, n=args.grid)
     out_path = args.out or f"metric_grid.{args.format}"
     payload = (mt.format_columns_csv if args.format == "csv" else mt.format_columns_json)(columns)
 
@@ -159,7 +160,7 @@ def cmd_metric(args) -> int:
         "group": {"order": group.order, "type": str(group.type_tag)},
         "dessin": dessin_summary,
         "grid": {"path": out_path, "format": args.format, "size": args.grid,
-                 "step": args.step, "rows": len(curvatures)},
+                 "rows": len(curvatures)},
         "seed": args.seed,
         "diagnostics": diagnostics,
         "warnings": warnings,
@@ -209,7 +210,9 @@ def _bounded(convert, low, strict: bool = False):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="dessins",
         description="dessins, finite Moebius groups and canonical sphere metrics")
@@ -231,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_metric.add_argument("--grid", type=_bounded(int, 3), default=40, metavar="N",
                           help="grid points per axis, at least 3")
     p_metric.add_argument("--step", type=_bounded(float, 0.0, strict=True), default=1e-3,
-                          metavar="H", help="finite-difference curvature step, positive")
+                          metavar="H", help="unused: the curvature is exact; accepted if "
+                          "positive and finite")
     p_metric.add_argument("--seed", type=_bounded(int, 0), default=0,
                           help="conjugator seed, at least 0")
     p_metric.add_argument("--out", default=None, metavar="PATH")
@@ -261,7 +265,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (MalformedInput, NotAPermutation, Disconnected, NumericalAmbiguity,
-            StencilOutOfDomain, UnsupportedType) as exc:
+            UnsupportedType) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except (json.JSONDecodeError, ValueError, KeyError) as exc:

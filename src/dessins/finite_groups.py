@@ -242,15 +242,21 @@ def burnside_consistent(data: OrbitData) -> bool:
     return lhs == k - 2 + Fraction(2, data.group_order)
 
 
+MIN_CONDITION = 1.1  # the lowest condition-number cap of random_conjugator
+
+
 def random_conjugator(rng: np.random.Generator,
                       max_condition: float = 100.0) -> MoebiusTransform:
     """Random transformation with entries uniform in the unit disc.
 
     Draws are rejected while the normalized matrix is singular or has
-    condition number above ``max_condition``, which must be at least 1.
+    condition number above ``max_condition``.  No draw is unitary, and the
+    share accepted falls towards 0 as the cap nears 1 (measured on 100k
+    draws: 0.29 at 2, 2.4e-3 at 1.1, 4.4e-4 at 1.05), so the cap must be at
+    least MIN_CONDITION.
     """
-    if not max_condition >= 1.0:
-        raise ValueError(f"max_condition must be at least 1, got {max_condition}")
+    if not max_condition >= MIN_CONDITION:
+        raise ValueError(f"max_condition must be at least {MIN_CONDITION}, got {max_condition}")
     while True:
         flat = []
         while len(flat) < 4:

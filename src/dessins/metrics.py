@@ -18,7 +18,10 @@ stack.
 
 ``|p|^2``, ``|r|^2`` and ``Re(h12 conj(p) r)`` are Hermitian forms in
 ``(P, R)``, derived once per metric, so evaluation is real arithmetic on
-the per-point monomials ``|P|^2``, ``|R|^2`` and ``conj(P) R``.
+the per-point monomials ``|P|^2``, ``|R|^2`` and ``conj(P) R``.  Each form
+has a derivative linear in the conjugate chart coordinate and a constant
+``d dbar``, so the same pass gives the Gaussian curvature
+``K = -(2/rho) d dbar log rho`` in closed form.
 
 Constructions:
 
@@ -49,6 +52,7 @@ from .moebius import MoebiusTransform, as_sphere_point, from_triple
 DEFAULT_CURVATURE_STEP = 1e-3
 DEFAULT_SAMPLES = 200
 _CHUNK_BUDGET = 4_000_000  # max form-point pairs per vectorized block
+_CURVATURE_ARRAYS = 6  # a curvature block holds about this many arrays the size of q
 
 
 def _form_coefficients(forms: np.ndarray) -> np.ndarray:
@@ -75,8 +79,9 @@ class ConformalMetric:
             h12 = self.form[0, 1]
             forms = [np.conj(row1)[:, :, None] * row1[:, None, :],  # |p|^2
                      np.conj(row2)[:, :, None] * row2[:, None, :],  # |r|^2
-                     (h12 * cross + np.conj(h12 * np.transpose(cross, (0, 2, 1)))) / 2.0]
-        self._coef = np.concatenate([_form_coefficients(f) for f in forms])
+                     _cross_form(cross, h12)]
+        self._forms = np.concatenate(forms)
+        self._coef = _form_coefficients(self._forms)
 
     def rho(self, z):
         """Conformal factor in the finite chart: the kernel at (z, 1)."""
@@ -91,14 +96,25 @@ class ConformalMetric:
         vals = self._density(*_homogeneous(arr.ravel(), finite))
         return float(vals[0]) if arr.shape == () else vals.reshape(arr.shape)
 
-    def _density(self, p: np.ndarray, r: np.ndarray) -> np.ndarray:
+    def _density(self, p: np.ndarray, r: np.ndarray, chart: int | None = None):
         """Mean stack density at the homogeneous points (p, r), 1-d arrays.
+
+        With ``chart`` (0 when the points are (z, 1), 1 when they are
+        (1, u)) returns (rho, K): K = -(2/rho) d dbar log rho is the Gaussian
+        curvature in that chart's coordinate, in closed form from the
+        derivatives of each term's Hermitian forms, which are linear in the
+        coordinate's conjugate with constant d dbar.
 
         Overflow, division by zero and invalid operations raise
         FloatingPointError: a term that leaves the floats is not a density.
         """
         out = np.empty(p.shape[0])
-        chunk = max(1, _CHUNK_BUDGET // self._coef.shape[0])
+        curv = None if chart is None else np.empty(p.shape[0])
+        if curv is not None:
+            rows, extra = self._chart_rows(chart)
+            coord = p if chart == 0 else r
+        arrays = 1 if curv is None else _CURVATURE_ARRAYS
+        chunk = max(1, _CHUNK_BUDGET // (arrays * self._coef.shape[0]))
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             for s in range(0, out.shape[0], chunk):
                 pc, rc = p[s:s + chunk], r[s:s + chunk]
@@ -107,16 +123,99 @@ class ConformalMetric:
                                  w.real, w.imag])
                 q = self._coef @ mono
                 if self.form is None:
-                    q *= q
-                    terms = np.reciprocal(q, out=q)
+                    terms = np.multiply(q, q, out=q if curv is None else None)
+                    np.reciprocal(terms, out=terms)
                 else:
                     h11, h22 = self.form[0, 0].real, self.form[1, 1].real
                     pp, rr, cross = q.reshape(3, len(self.stack), -1)
                     n2 = (pp + rr) ** 2
                     terms = ((h11 * (pp * pp + rr * rr) + 2.0 * h22 * pp * rr
                               + 2.0 * cross * (rr - pp)) / (n2 * n2))
-                out[s:s + chunk] = self._weights @ terms
-        return out
+                out[s:s + chunk] = rho = self._weights @ terms
+                if curv is None:
+                    continue
+                if self.form is None:
+                    d_rho, dd_rho = _free_derivatives(rows, extra, q, terms)
+                else:
+                    d_rho, dd_rho = self._form_derivatives(rows, extra, q, terms, mono)
+                curv[s:s + chunk] = _liouville(rho, coord[s:s + chunk], d_rho, dd_rho)
+        return out if curv is None else (out, curv)
+
+    def _chart_rows(self, i: int):
+        """Per-metric rows of the curvature in the chart whose coordinate is entry i of (P, R).
+
+        A form E reads d(v^H E v) = E_ii conj(coordinate) + E_ji (j = 1 - i)
+        and d dbar(v^H E v) = E_ii; the rows are w E_ii, w Re E_ji and
+        w Im E_ji over the stacked forms.  The form-free stack adds w det E;
+        the form stack adds |p'|^2, |r'|^2, Re(h12 conj(p' conj r')) per
+        matrix and the coefficients of Re(p' conj(r') conj(p) r), where
+        ' is the derivative along the coordinate.
+        """
+        j = 1 - i
+        e = self._forms
+        weights = np.tile(self._weights, len(e) // len(self.stack))
+        rows = weights * np.stack([e[:, i, i].real, e[:, j, i].real, e[:, j, i].imag])
+        if self.form is None:
+            return rows, self._weights * (e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0]).real
+        dp, dr = self.stack[:, 0, i], self.stack[:, 1, i]
+        lam = dp * np.conj(dr)
+        cross = np.conj(self.stack[:, 0, :])[:, :, None] * self.stack[:, 1, None, :]
+        return rows, ((dp.real ** 2 + dp.imag ** 2)[:, None], (dr.real ** 2 + dr.imag ** 2)[:, None],
+                      (self.form[0, 1] * np.conj(lam)).real[:, None],
+                      _form_coefficients(_cross_form(cross, lam[:, None, None])))
+
+    def _form_derivatives(self, rows, extra, q, terms, mono):
+        """d and d dbar of the form stack's density, by the chain rule through its three forms.
+
+        With a = |p|^2, b = |r|^2, c = Re(h12 conj(p) r) and
+        T = N / (a + b)^4, N = h11 (a^2 + b^2) + 2 h22 a b + 2 c (b - a):
+        d T = sum_x T_x dx and d dbar T = sum_xy T_xy Re(dx conj dy) + sum_x T_x d dbar x,
+        where |da|^2 = |p'|^2 a, |db|^2 = |r'|^2 b, Re(da conj db) = g and
+        2 Re(da conj dc) = |p'|^2 c + mu a, 2 Re(db conj dc) = |r'|^2 c + mu b.
+        """
+        h11, h22 = self.form[0, 0].real, self.form[1, 1].real
+        al_a, al_b, mu, g_coef = extra
+        a, b, c = q.reshape(3, len(self.stack), -1)
+        g = g_coef @ mono
+        sig = np.reciprocal(a + b)
+        s4 = sig ** 4
+        t_sig = terms * sig
+        na = 2.0 * (h11 * a + h22 * b - c)  # N_a and N_b
+        nb = 2.0 * (h11 * b + h22 * a + c)
+        diff = b - a
+        first = rows @ np.concatenate([na * s4 - 4.0 * t_sig, nb * s4 - 4.0 * t_sig,
+                                       2.0 * diff * s4])
+        aa, bb = al_a * a, al_b * b
+        second = (s4 * (2.0 * h11 * (aa + bb) - 4.0 * (4.0 * h11 + 3.0 * h22) * g
+                        + 2.0 * (al_b - al_a) * c + 2.0 * mu * diff
+                        - 8.0 * sig * (na * aa + nb * bb + diff * ((al_a + al_b) * c + mu * (a + b))))
+                  + t_sig * sig * (20.0 * (aa + bb) + 40.0 * g))
+        return first, first[0] + self._weights @ second
+
+
+def _free_derivatives(rows, w_det, q, s2):
+    """d and d dbar of sum w q^-2: d rho = -2 sum w s3 dq, d dbar rho = sum w (4 E_ii s3 - 6 det s4).
+
+    Overwrites q with s3 and s2 with s4.
+    """
+    first = rows @ np.divide(s2, q, out=q)
+    return -2.0 * first, 4.0 * first[0] - 6.0 * (w_det @ np.multiply(s2, s2, out=s2))
+
+
+def _liouville(rho, coord, d_rho, dd_rho):
+    """K = -(2/rho) (d dbar rho / rho - |d rho / rho|^2), d rho = conj(coord) d0 + d1 + i d2.
+
+    Scaled by rho before squaring, so a small positive rho does not underflow as rho^3 would.
+    """
+    d0, d1, d2 = d_rho
+    gx = (coord.real * d0 + d1) / rho
+    gy = (d2 - coord.imag * d0) / rho
+    return -2.0 * (dd_rho / rho - (gx * gx + gy * gy)) / rho
+
+
+def _cross_form(cross, h12):
+    """The Hermitian form of Re(h12 conj(p) r) from the stack of conj(p) r forms."""
+    return (h12 * cross + np.conj(h12 * np.transpose(cross, (0, 2, 1)))) / 2.0
 
 
 def _homogeneous(coords: np.ndarray, finite: bool):
@@ -211,7 +310,8 @@ def orbit_triple_metric(g: FiniteMoebiusGroup) -> ConformalMetric:
 
 
 # ---------------------------------------------------------------------------
-# curvature (finite differences; works on any object with rho and rho_at_infinity)
+# finite-difference curvature: the tests' oracle of the kernel's closed form.
+# Works on any object with rho and rho_at_infinity; no command calls it.
 
 def _stencil_values(g, chart: str, coords, h):
     """rho at the chart coordinates (row 0) and at their four neighbours at distance h."""
@@ -244,7 +344,10 @@ def _laplacian_curvature(vals, h):
 
 
 def curvature_samples(g, chart: str, coords, step: float = DEFAULT_CURVATURE_STEP):
-    """Gaussian curvature at an array of chart coordinates."""
+    """Gaussian curvature at an array of chart coordinates, by the 5-point stencil.
+
+    An oracle for tests: the report grid takes the kernel's exact curvature.
+    """
     return _laplacian_curvature(_stencil_values(g, chart, coords, step), step)
 
 
@@ -252,7 +355,8 @@ def curvature(g, z, step: float = DEFAULT_CURVATURE_STEP) -> float:
     """Gaussian curvature at a point, by the 5-point Laplacian of log(rho)/2.
 
     Points with |z| > 1 (and infinity itself) are evaluated in the
-    u = 1/z chart, where the stencil stays on the unit disc.
+    u = 1/z chart, where the stencil stays on the unit disc.  A test
+    oracle, like curvature_samples.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -330,27 +434,22 @@ def grid_points(n: int = 40) -> np.ndarray:
     return z[np.abs(z) <= 1.0]
 
 
-def metric_grid_columns(g: ConformalMetric, n: int = 40,
-                        step: float = DEFAULT_CURVATURE_STEP):
+def metric_grid_columns(g: ConformalMetric, n: int = 40):
     """Grid columns (re, im, chart, rho, curvature) over both charts, as numpy arrays.
 
-    rho is the centre of the curvature stencil, so each point is evaluated once per offset.
+    One kernel pass per chart gives rho and the exact curvature together.
     """
     pts = grid_points(n)
     charts = np.array(["finite", "infinity"], dtype=object)
-    rho, curv = [], []
-    for chart in charts:
-        vals = _stencil_values(g, chart, pts, step)
-        curv.append(_laplacian_curvature(vals, step))
-        rho.append(vals[0])
+    rho, curv = zip(*(g._density(*_homogeneous(pts, i == 0), chart=i) for i in range(2)))
     return (np.tile(pts.real, 2), np.tile(pts.imag, 2), np.repeat(charts, len(pts)),
             np.concatenate(rho), np.concatenate(curv))
 
 
-def metric_grid_rows(g: ConformalMetric, n: int = 40,
-                     step: float = DEFAULT_CURVATURE_STEP):
+def metric_grid_rows(g: ConformalMetric, n: int = 40, step=None):
     """The grid columns as rows (re, im, chart, rho, curvature) of Python values."""
-    return list(zip(*(col.tolist() for col in metric_grid_columns(g, n, step))))
+    # step is ignored: the benchmark's replay still passes the CLI's --step
+    return list(zip(*(col.tolist() for col in metric_grid_columns(g, n))))
 
 
 GRID_HEADER = "re,im,chart,rho,curvature"

@@ -25,12 +25,11 @@ from .finite_groups import (FiniteMoebiusGroup, closure, conjugate_group,
 from .grouptypes import parse_group_tag
 from .moebius import MoebiusTransform, chordal_distance, standard_generators
 
-# Finite-difference curvature at step 1e-3 resolves conjugated metrics only
-# while the conjugator is mildly conditioned; harsher conjugation squeezes
-# the metric below the stencil scale.  Well-definedness trials have no such
-# limit and use the wide cap.
-MILD_CONDITION = 2.5
+# Conjugators of the property checks have condition numbers up to this.
 WIDE_CONDITION = 100.0
+# Bound on |K-1| of the conjugated metric's exact grid curvature: the worst
+# over 2300 seeds of criterion 4 was 1.1e-11.
+CURVATURE_TOL = 1e-10
 
 
 @dataclass
@@ -186,24 +185,22 @@ _NON_CYCLIC = ("D2", "D3", "D6", "A4", "S4", "A5")
 def check_constant_curvature(seed: int = 0) -> CheckResult:
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
-    grid = mt.grid_points(40)
     worst = 0.0
     failures = []
     for tag in _NON_CYCLIC:
         base = from_type(tag)
-        groups = [base] + [conjugate_group(base, random_conjugator(rng, MILD_CONDITION))
+        groups = [base] + [conjugate_group(base, random_conjugator(rng, WIDE_CONDITION))
                            for _ in range(3)]
         for k, g in enumerate(groups):
-            metric = mt.conjugated_metric(g)
-            for chart in ("finite", "infinity"):
-                err = float(np.abs(mt.curvature_samples(metric, chart, grid, 1e-3) - 1.0).max())
-                worst = max(worst, err)
-                if err >= 1e-4:
-                    failures.append(f"{tag}#{k}/{chart}: |K-1| = {err:.2e}")
+            curvature = mt.metric_grid_columns(mt.conjugated_metric(g), 40)[4]
+            err = float(np.abs(curvature - 1.0).max())
+            worst = max(worst, err)
+            if err >= CURVATURE_TOL:
+                failures.append(f"{tag}#{k}: |K-1| = {err:.2e}")
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < 60.0
-    detail = (f"worst |K-1| = {worst:.2e} in {elapsed:.1f}s" if ok
-              else f"{failures} (elapsed {elapsed:.1f}s)")
+    detail = (f"worst |K-1| = {worst:.2e} < {CURVATURE_TOL:.0e} in {elapsed:.2f}s" if ok
+              else f"{failures} >= {CURVATURE_TOL:.0e} (elapsed {elapsed:.1f}s)")
     return CheckResult(4, "constant curvature 1 of the conjugated metric", ok, detail)
 
 

@@ -37,7 +37,8 @@ def test_criterion_03_unitarization():
 
 
 def test_criterion_04_constant_curvature():
-    # |K - 1| < 1e-4 on the 40x40 two-chart grid at step 1e-3; under 60 s
+    # |K - 1| < 1e-10 on the 40x40 two-chart grid of exact curvatures, for the six
+    # non-cyclic groups and 3 conjugates each of condition up to 100; under 60 s
     _run(vf.check_constant_curvature, 0)
 
 

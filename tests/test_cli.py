@@ -1,16 +1,22 @@
 import cmath
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dessins
 from dessins import permutations as perms
-from dessins.cli import main
-from dessins.moebius import MoebiusTransform
+from dessins.cli import build_parser, main
+from dessins.grouptypes import parse_group_tag
+from dessins.moebius import MoebiusTransform, standard_generators
 
 EQUATOR = '{"darts":2,"sigma_white":[[1,2]],"sigma_black":[[1,2]]}'
 TORUS = '{"darts":4,"sigma_white":[[1,2,3,4]],"sigma_black":[[1,2,3,4]]}'
@@ -172,6 +178,28 @@ def test_metric_grid_and_curvatures_match_the_row_writers(source, construction, 
     assert [x.hex() for x in got] == [x.hex() for x in expected]
 
 
+def test_alternating_calls_match_fresh_processes(equator_file, tmp_path):
+    # the parser is built once per process; no call may leave anything behind for the next
+    gens = tmp_path / "gens.json"
+    m = MoebiusTransform([[1.1, 0.2j], [0.1, 0.9]])
+    gens.write_text(json.dumps([m.compose(g).compose(m.inverse()).to_entries()
+                                for g in standard_generators(parse_group_tag("A4"))]))
+    out = str(tmp_path / "g.csv")
+    calls = [["metric", "--group", "A4", "--grid", "8", "--out", out],
+             ["metric", "--generators", str(gens), "--construction", "average", "--grid", "8",
+              "--out", out],
+             ["metric", "--group", "A4", "--grid", "2", "--out", out],
+             ["info", equator_file],
+             ["verify", "sc"]]
+    src = str(Path(dessins.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fresh = [subprocess.run([sys.executable, "-m", "dessins", *argv], capture_output=True,
+                            text=True, env=env, timeout=120) for argv in calls]
+    for argv, proc in zip(calls * 2, fresh * 2):
+        assert _run_quietly(argv) == (proc.returncode, proc.stdout, proc.stderr), argv
+    assert build_parser() is build_parser()
+
+
 def test_verify_sc_scope(capsys):
     assert main(["verify", "sc"]) == 0
     out = capsys.readouterr().out
@@ -266,29 +294,6 @@ def test_metric_bad_generator_file_exit_2(text, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_metric_step_beyond_domain_exit_2(tmp_path, capsys):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # an overflow warning would add lines to stderr
-        code = main(["metric", "--group", "A4", "--step", "1e300", "--grid", "8",
-                     "--out", str(tmp_path / "g.csv")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: StencilOutOfDomain: ") and err.count("\n") == 1
-
-
-@pytest.mark.parametrize("step", ["1e-20", "1e-17"])
-def test_metric_step_below_coordinate_resolution_exit_2(step, tmp_path, capsys):
-    # x + step == x on the grid: the stencil collapses and the curvature would read -0
-    out = tmp_path / "g.csv"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(["metric", "--group", "A4", "--step", step, "--grid", "8", "--out", str(out)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: StencilOutOfDomain: step ") and err.count("\n") == 1
-    assert not out.exists()
-
-
 def _run_quietly(argv):
     """main(argv) with warnings as errors: (exit code, stdout, stderr).
 
@@ -306,14 +311,18 @@ def _run_quietly(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def test_metric_step_too_small_exit_2(tmp_path):
-    # h * h underflows to 0, so the Laplacian is 0/0: no NaN curvature may reach the output
-    out = tmp_path / "g.json"
-    code, stdout, err = _run_quietly(["metric", "--group", "A4", "--step", "1e-200",
-                                      "--grid", "8", "--format", "json", "--out", str(out)])
-    assert code == 2 and stdout == ""
-    assert err.startswith("error: StencilOutOfDomain: ") and err.count("\n") == 1
-    assert not out.exists()
+@pytest.mark.parametrize("step", ["1e300", "1e-17", "1e-20", "1e-200"])
+def test_metric_step_is_ignored(step, tmp_path):
+    # the curvature is exact: steps the finite-difference stencil could not take
+    # (see test_stencil_step_out_of_domain_raises) leave every output byte unchanged
+    runs = []
+    for extra in ([], ["--step", step]):
+        out = tmp_path / "g.json"
+        code, stdout, err = _run_quietly(["metric", "--group", "A4", "--grid", "8",
+                                          "--format", "json", "--out", str(out), *extra])
+        runs.append((code, stdout, err, out.read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and runs[0][2] == ""
 
 
 @pytest.mark.parametrize("construction", ["average", "conjugate", "hermitian", "orbit"])

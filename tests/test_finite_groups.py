@@ -175,6 +175,14 @@ def test_random_conjugator_rejects_condition_below_one():
         fg.random_conjugator(np.random.default_rng(0), 0.5)
 
 
+@pytest.mark.parametrize("cap", [1.0, 1.05, np.nextafter(fg.MIN_CONDITION, 0.0)])
+def test_random_conjugator_rejects_caps_it_would_hardly_meet(cap):
+    # no draw is unitary, so at 1.0 the rejection loop would never end
+    with pytest.raises(ValueError, match="at least 1.1"):
+        fg.random_conjugator(np.random.default_rng(0), cap)
+    assert np.linalg.cond(fg.random_conjugator(np.random.default_rng(0), fg.MIN_CONDITION).matrix) <= 1.1
+
+
 # The per-element power walk and all-pairs commutator loop that the stack
 # invariants replaced, kept as their oracles.
 

@@ -189,6 +189,22 @@ def test_curvature_chart_switching():
     assert abs(mt.curvature(rnd, mb.INFINITY) - 1.0) < 1e-4
 
 
+@pytest.mark.parametrize("step, coords, message", [
+    pytest.param(1e300, None, "conformal factor undefined", id="1e300"),
+    pytest.param(1e-20, None, "step 1e-20 too small: a stencil point equals its centre", id="1e-20"),
+    pytest.param(1e-17, None, "step 1e-17 too small: a stencil point equals its centre", id="1e-17"),
+    pytest.param(1e-200, [0j], "curvature not finite", id="1e-200"),
+])
+def test_stencil_step_out_of_domain_raises(step, coords, message):
+    # the stencil leaves the floats at 1e300; x + step == x on the grid at 1e-20 and 1e-17;
+    # at 0, h * h underflows at 1e-200: the oracle raises instead of reading a silent 0 or NaN
+    metric = mt.conjugated_metric(fg.from_type("A4"))
+    coords = mt.grid_points(8) if coords is None else coords
+    for chart in ("finite", "infinity"):
+        with pytest.raises(StencilOutOfDomain, match=message):
+            mt.curvature_samples(metric, chart, coords, step)
+
+
 def test_curvature_stencil_out_of_domain():
     bad = SimpleNamespace(rho=lambda z: np.real(np.asarray(z, complex)),
                           rho_at_infinity=lambda u: np.ones_like(np.asarray(u, complex), dtype=float))
@@ -196,6 +212,80 @@ def test_curvature_stencil_out_of_domain():
         mt.curvature(bad, -0.5 + 0j)
     with pytest.raises(ValueError):
         mt.curvature(mt.round_metric(), 0.0, step=0.0)
+
+
+# The kernel's closed-form curvature against the finite-difference oracle.
+
+def _exact_curvature(metric, coords, chart):
+    finite = chart == "finite"
+    return metric._density(*mt._homogeneous(coords, finite), chart=0 if finite else 1)
+
+
+_BUILDS = [mt.averaged_metric, mt.conjugated_metric, mt.hermitian_metric, mt.orbit_triple_metric]
+
+
+@st.composite
+def _metric_chart_points(draw):
+    """A metric of any construction on a (conjugated) group, a chart, and points of its unit disc."""
+    tag = draw(st.sampled_from(["A4", "S4", "A5", "D2", "D3", "D4", "D5", "D6"]))
+    g = fg.from_type(tag)
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        g = fg.conjugate_group(g, fg.random_conjugator(rng, draw(st.floats(1.1, WIDE_CONDITION))))
+    metric = draw(st.sampled_from(_BUILDS))(g)
+    radii = st.one_of(st.just(1.0), st.floats(0.0, 1.0))
+    polar = draw(st.lists(st.tuples(radii, st.floats(0.0, 2.0 * np.pi)), min_size=1, max_size=8))
+    coords = np.array([r * np.exp(1j * t) for r, t in polar])
+    return metric, draw(st.sampled_from(["finite", "infinity"])), coords
+
+
+@settings(max_examples=250, deadline=None)
+@given(_metric_chart_points())
+def test_exact_curvature_matches_richardson_pair_of_stencils(case):
+    # The stencil at h/2 is off by about (K_h - K_{h/2}) / 3, its O(h^2) error; its rounding
+    # is at most 8 eps (1 + |log rho| / 2) / (h^2 rho) at each point.  The exact value must
+    # lie within twice that of the stencil.
+    metric, chart, coords = case
+    rho, exact = _exact_curvature(metric, coords, chart)
+    h = 1e-3
+    coarse = mt.curvature_samples(metric, chart, coords, h)
+    fine = mt.curvature_samples(metric, chart, coords, h / 2)
+    log_rho = np.log(mt._stencil_values(metric, chart, coords, h / 2))
+    rounding = 8.0 * np.finfo(float).eps * (1.0 + 0.5 * np.abs(log_rho).max(axis=0)) / ((h / 2) ** 2 * rho)
+    bound = 2.0 * (np.abs(coarse - fine) / 3.0 + rounding)
+    assert np.all(np.abs(exact - fine) <= bound), (metric.provenance, chart, exact, fine, bound)
+
+
+@pytest.mark.parametrize("chart", ["finite", "infinity"])
+def test_one_term_stack_has_curvature_one(chart):
+    # a one-term stack is the round metric pulled back along one map: K = 4 det(A) / w = 1
+    rng = np.random.default_rng(17)
+    coords = np.concatenate([mt.grid_points(30), np.exp(2j * np.pi * np.arange(32) / 32)])
+    for _ in range(100):
+        metric = mt.ConformalMetric(fg.random_conjugator(rng, 10.0).matrix)
+        _, curvature = _exact_curvature(metric, coords, chart)
+        assert np.abs(curvature - 1.0).max() < 1e-12
+
+
+@pytest.mark.parametrize("build", _BUILDS)
+def test_grid_runs_the_kernel_once_per_chart(build, monkeypatch):
+    metric = build(fg.from_type("S4"))
+    calls = []
+    density = mt.ConformalMetric._density
+
+    def counted(self, p, r, chart=None):
+        calls.append((len(p), chart))
+        return density(self, p, r, chart)
+
+    def stencil(*args):
+        raise AssertionError("the grid evaluated the finite-difference stencil")
+
+    monkeypatch.setattr(mt.ConformalMetric, "_density", counted)
+    monkeypatch.setattr(mt, "_stencil_values", stencil)
+    columns = mt.metric_grid_columns(metric, 12)
+    n = len(mt.grid_points(12))
+    assert calls == [(n, 0), (n, 1)]
+    assert len(columns[4]) == 2 * n
 
 
 def test_invariance_defect_reference_cases():
