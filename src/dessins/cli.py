@@ -52,6 +52,14 @@ def _read_text(path: str) -> str:
         raise MalformedInput(f"cannot read {path}: {exc}") from exc
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise MalformedInput(f"cannot write {path}: {exc}") from exc
+
+
 def cmd_info(args) -> int:
     d = dd.parse_dessin(_read_text(args.path))
     g = dd.genus(d)
@@ -152,8 +160,7 @@ def cmd_metric(args) -> int:
             warnings.append("metric coincides with the round sphere metric")
     if is_in_SO3(group, 1e-8) and args.construction in ("average", "hermitian"):
         warnings.append("group already consists of rotations; metric is round")
-    with open(out_path, "w", encoding="utf-8") as fh:  # only once every diagnostic succeeded
-        fh.write(payload)
+    _write_text(out_path, payload)  # only once every diagnostic succeeded
 
     report = {
         "construction": args.construction,
@@ -191,8 +198,7 @@ def cmd_sc_demo(args) -> int:
     }
     text = json.dumps(payload, sort_keys=True, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_text(args.out, text + "\n")
     else:
         print(text)
     return 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,9 +22,18 @@ from .grouptypes import GroupType, classify_census
 
 @dataclass(frozen=True)
 class Dessin:
+    """Two rotations of the darts, with the face rotation and the cycles of all three.
+
+    ``cycles`` holds the white, black and face cycles, in that order; each
+    cycle is led by its least dart and the cycles are listed by it, so the
+    first cycle of each holds dart 0.  The derived fields are computed once,
+    after validation, and are left out of ``==``, hashing and ``repr``.
+    """
     dart_count: int
     sigma_white: tuple[int, ...]
     sigma_black: tuple[int, ...]
+    face_permutation: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    cycles: tuple[tuple[tuple[int, ...], ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.dart_count
@@ -35,10 +44,10 @@ class Dessin:
                 raise NotAPermutation("not a bijection of the darts")
         if not perms.is_transitive((self.sigma_white, self.sigma_black), n):
             raise Disconnected("the two rotations do not generate a transitive action")
-
-    @property
-    def face_permutation(self) -> tuple[int, ...]:
-        return perms.compose(self.sigma_white, self.sigma_black)
+        face = perms.compose(self.sigma_white, self.sigma_black)
+        object.__setattr__(self, "face_permutation", face)
+        object.__setattr__(self, "cycles", tuple(
+            tuple(perms.cycles(p)) for p in (self.sigma_white, self.sigma_black, face)))
 
 
 @dataclass(frozen=True)
@@ -132,23 +141,14 @@ def parse_dessin(text: str) -> Dessin:
 
 
 def genus(d: Dessin) -> int:
-    """Genus from the Euler characteristic of the bicolored map."""
-    chi = (len(perms.cycles(d.sigma_white))
-           + len(perms.cycles(d.sigma_black))
-           + len(perms.cycles(d.face_permutation))
-           - d.dart_count)
-    assert chi % 2 == 0 and chi <= 2, "impossible Euler characteristic"
-    return (2 - chi) // 2
+    """Genus from the Euler characteristic 2 - 2g = vertices + faces - edges."""
+    return 1 - (sum(map(len, d.cycles)) - d.dart_count) // 2
 
 
 def passport(d: Dessin) -> Passport:
-    """Vertex-degree and face-half-degree multisets (the ramification profile)."""
-    return Passport(
-        white_degrees=perms.cycle_lengths(d.sigma_white),
-        black_degrees=perms.cycle_lengths(d.sigma_black),
-        face_half_degrees=perms.cycle_lengths(d.face_permutation),
-        degree=d.dart_count,
-    )
+    """Vertex-degree and face-half-degree multisets (the ramification profile), descending."""
+    white, black, faces = (tuple(sorted(map(len, c), reverse=True)) for c in d.cycles)
+    return Passport(white, black, faces, d.dart_count)
 
 
 def riemann_hurwitz_holds(d: Dessin) -> bool:
@@ -159,9 +159,10 @@ def riemann_hurwitz_holds(d: Dessin) -> bool:
     return 2 - 2 * genus(d) == 2 * p.degree - total
 
 
-def _cycle_index(p: tuple[int, ...]) -> list[int]:
-    idx = [0] * len(p)
-    for k, cyc in enumerate(perms.cycles(p)):
+def _cycle_index(cycles, n: int) -> list[int]:
+    """The id of each dart's cycle: its position in ``cycles``."""
+    idx = [0] * n
+    for k, cyc in enumerate(cycles):
         for d in cyc:
             idx[d] = k
     return idx
@@ -175,9 +176,7 @@ def triangulate(d: Dessin) -> TriangulatedMap:
     face of half-degree p carries 2p triangles and every dart carries one
     butterfly.
     """
-    wid = _cycle_index(d.sigma_white)
-    bid = _cycle_index(d.sigma_black)
-    fid = _cycle_index(d.face_permutation)
+    wid, bid, fid = (_cycle_index(c, d.dart_count) for c in d.cycles)
     face = d.face_permutation
     triangles: list[tuple[int, int, int, int]] = []
     pairs: list[tuple[int, int]] = []
@@ -196,10 +195,9 @@ def triangulate(d: Dessin) -> TriangulatedMap:
     )
 
 
-def _darts_like_dart_0(p: tuple[int, ...]) -> np.ndarray:
-    """Mask of the darts whose cycle under ``p`` is as long as the cycle through dart 0."""
-    cycles = perms.cycles(p)  # the first cycle is the one through dart 0
-    mask = np.zeros(len(p), dtype=bool)
+def _darts_like_dart_0(cycles, n: int) -> np.ndarray:
+    """Mask of the darts whose cycle is as long as the first one, the cycle through dart 0."""
+    mask = np.zeros(n, dtype=bool)
     mask[[d for c in cycles if len(c) == len(cycles[0]) for d in c]] = True
     return mask
 
@@ -235,9 +233,8 @@ def automorphisms(d: Dessin) -> PermGroup:
     n = d.dart_count
     sigmas = (d.sigma_white, d.sigma_black)
     rotations = tuple(np.array(s) for s in sigmas)
-    candidates = np.flatnonzero(_darts_like_dart_0(d.sigma_white)
-                                & _darts_like_dart_0(d.sigma_black)
-                                & _darts_like_dart_0(d.face_permutation))
+    candidates = np.flatnonzero(np.logical_and.reduce([_darts_like_dart_0(c, n)
+                                                       for c in d.cycles]))
     images = np.array([candidates], dtype=np.int32)  # row r: images of walk[r]
     alive = np.ones(len(candidates), dtype=bool)
     rank = [-1] * n

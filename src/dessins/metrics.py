@@ -53,6 +53,8 @@ DEFAULT_CURVATURE_STEP = 1e-3
 DEFAULT_SAMPLES = 200
 _CHUNK_BUDGET = 4_000_000  # max form-point pairs per vectorized block
 _CURVATURE_ARRAYS = 6  # a curvature block holds about this many arrays the size of q
+# chart i holds the points whose entry i of (P, R) is the coordinate: (z, 1), then (1, u)
+CHARTS = ("finite", "infinity")
 
 
 def _form_coefficients(forms: np.ndarray) -> np.ndarray:
@@ -64,10 +66,9 @@ def _form_coefficients(forms: np.ndarray) -> np.ndarray:
 class ConformalMetric:
     """Mean over a (K, 2, 2) matrix stack of the density pulled back along each matrix."""
 
-    def __init__(self, stack, form=None, provenance: str = "custom"):
+    def __init__(self, stack, form=None):
         self.stack = np.asarray(stack, dtype=complex).reshape(-1, 2, 2)
         self.form = None if form is None else np.asarray(form, dtype=complex)
-        self.provenance = provenance
         m = self.stack
         det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
         self._weights = 4.0 * np.abs(det) ** 2 / len(m)
@@ -85,25 +86,24 @@ class ConformalMetric:
 
     def rho(self, z):
         """Conformal factor in the finite chart: the kernel at (z, 1)."""
-        return self._chart(z, finite=True)
+        return self._chart(z, 0)
 
     def rho_at_infinity(self, u):
         """Conformal factor in the chart u = 1/z: the kernel at (1, u)."""
-        return self._chart(u, finite=False)
+        return self._chart(u, 1)
 
-    def _chart(self, coords, finite: bool):
+    def _chart(self, coords, chart: int):
         arr = np.asarray(coords, dtype=complex)
-        vals = self._density(*_homogeneous(arr.ravel(), finite))
+        vals = self._density(*_homogeneous(arr.ravel(), chart))
         return float(vals[0]) if arr.shape == () else vals.reshape(arr.shape)
 
     def _density(self, p: np.ndarray, r: np.ndarray, chart: int | None = None):
         """Mean stack density at the homogeneous points (p, r), 1-d arrays.
 
-        With ``chart`` (0 when the points are (z, 1), 1 when they are
-        (1, u)) returns (rho, K): K = -(2/rho) d dbar log rho is the Gaussian
-        curvature in that chart's coordinate, in closed form from the
-        derivatives of each term's Hermitian forms, which are linear in the
-        coordinate's conjugate with constant d dbar.
+        With a ``chart`` index (see CHARTS) returns (rho, K): K = -(2/rho)
+        d dbar log rho is the Gaussian curvature in that chart's coordinate,
+        in closed form from the derivatives of each term's Hermitian forms,
+        which are linear in the coordinate's conjugate with constant d dbar.
 
         Overflow, division by zero and invalid operations raise
         FloatingPointError: a term that leaves the floats is not a density.
@@ -112,7 +112,7 @@ class ConformalMetric:
         curv = None if chart is None else np.empty(p.shape[0])
         if curv is not None:
             rows, extra = self._chart_rows(chart)
-            coord = p if chart == 0 else r
+            coord = (p, r)[chart]
         arrays = 1 if curv is None else _CURVATURE_ARRAYS
         chunk = max(1, _CHUNK_BUDGET // (arrays * self._coef.shape[0]))
         with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -142,7 +142,7 @@ class ConformalMetric:
         return out if curv is None else (out, curv)
 
     def _chart_rows(self, i: int):
-        """Per-metric rows of the curvature in the chart whose coordinate is entry i of (P, R).
+        """Per-metric rows of the curvature in chart i, whose coordinate is entry i of (P, R).
 
         A form E reads d(v^H E v) = E_ii conj(coordinate) + E_ji (j = 1 - i)
         and d dbar(v^H E v) = E_ii; the rows are w E_ii, w Re E_ji and
@@ -218,20 +218,20 @@ def _cross_form(cross, h12):
     return (h12 * cross + np.conj(h12 * np.transpose(cross, (0, 2, 1)))) / 2.0
 
 
-def _homogeneous(coords: np.ndarray, finite: bool):
-    """Homogeneous points of chart coordinates: (z, 1) in the finite chart, (1, u) in the other."""
+def _homogeneous(coords: np.ndarray, chart: int):
+    """Homogeneous points of chart coordinates: (z, 1) in chart 0, (1, u) in chart 1."""
     one = np.ones_like(coords)
-    return (coords, one) if finite else (one, coords)
+    return (coords, one) if chart == 0 else (one, coords)
 
 
 def round_metric() -> ConformalMetric:
     """The radius-1 round sphere: 4 / (1 + |.|^2)^2 in both charts."""
-    return ConformalMetric(np.eye(2), provenance="round")
+    return ConformalMetric(np.eye(2))
 
 
 def pullback(m: MoebiusTransform, g: ConformalMetric) -> ConformalMetric:
     """The metric h with h = g pulled back along m: rho_h = (rho_g ∘ m) |m'|^2."""
-    return ConformalMetric(g.stack @ m.matrix, g.form, f"pullback[{g.provenance}]")
+    return ConformalMetric(g.stack @ m.matrix, g.form)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +243,7 @@ def averaged_metric(g: FiniteMoebiusGroup) -> ConformalMetric:
     Invariant under g by construction and equal to the round metric when
     the group is already made of rotations.
     """
-    return ConformalMetric(g.stack, provenance=f"average[{g.type_tag}]")
+    return ConformalMetric(g.stack)
 
 
 def conjugated_metric(g: FiniteMoebiusGroup) -> ConformalMetric:
@@ -256,7 +256,7 @@ def conjugated_metric(g: FiniteMoebiusGroup) -> ConformalMetric:
     if g.type_tag.is_cyclic:
         raise CyclicGroupUnsupported(
             f"{g.type_tag} is cyclic; the conjugated metric is not canonical")
-    return ConformalMetric(unitarize(g).matrix, provenance=f"conjugate[{g.type_tag}]")
+    return ConformalMetric(unitarize(g).matrix)
 
 
 def hermitian_metric(g: FiniteMoebiusGroup) -> ConformalMetric:
@@ -269,8 +269,7 @@ def hermitian_metric(g: FiniteMoebiusGroup) -> ConformalMetric:
     itself: the mean of its pullbacks is exactly invariant and still
     reduces to the round metric whenever the group lies in the rotations.
     """
-    return ConformalMetric(g.stack, averaged_hermitian_form(g),
-                           f"hermitian[{g.type_tag}]")
+    return ConformalMetric(g.stack, averaged_hermitian_form(g))
 
 
 def orbit_triple_matrices(g: FiniteMoebiusGroup) -> np.ndarray:
@@ -302,11 +301,11 @@ def orbit_triple_metric(g: FiniteMoebiusGroup) -> ConformalMetric:
     orbits to anchor at and raises UnsupportedType.
     """
     if g.type_tag.is_cyclic:
-        return ConformalMetric(np.eye(2), provenance=f"orbit-round-fallback[{g.type_tag}]")
+        return ConformalMetric(np.eye(2))
     if g.type_tag.kind == "other":
         raise UnsupportedType("the orbit construction needs a dihedral, A4, S4 or A5 group, "
                               f"got a group of order {g.order} of none of these types")
-    return ConformalMetric(orbit_triple_matrices(g), provenance=f"orbit[{g.type_tag}]")
+    return ConformalMetric(orbit_triple_matrices(g))
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +313,8 @@ def orbit_triple_metric(g: FiniteMoebiusGroup) -> ConformalMetric:
 # Works on any object with rho and rho_at_infinity; no command calls it.
 
 def _stencil_values(g, chart: str, coords, h):
-    """rho at the chart coordinates (row 0) and at their four neighbours at distance h."""
-    rho = g.rho if chart == "finite" else g.rho_at_infinity
+    """rho at coordinates of the named chart (row 0) and at their four neighbours at distance h."""
+    rho = (g.rho, g.rho_at_infinity)[CHARTS.index(chart)]
     coords = np.atleast_1d(np.asarray(coords, dtype=complex))
     offsets = np.array([0.0, h, -h, 1j * h, -1j * h])
     try:
@@ -362,12 +361,12 @@ def curvature(g, z, step: float = DEFAULT_CURVATURE_STEP) -> float:
         raise ValueError("step must be positive")
     p = as_sphere_point(z)
     if p.is_infinity:
-        chart, w = "infinity", 0j
+        chart, w = 1, 0j
     elif abs(p.z) > 1.0:
-        chart, w = "infinity", 1.0 / p.z
+        chart, w = 1, 1.0 / p.z
     else:
-        chart, w = "finite", p.z
-    return float(curvature_samples(g, chart, w, step)[0])
+        chart, w = 0, p.z
+    return float(curvature_samples(g, CHARTS[chart], w, step)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +393,7 @@ def sphere_samples(n: int = DEFAULT_SAMPLES):
 def _sample_points(samples: int):
     """The spiral samples of both charts as one array of homogeneous points."""
     zf, uf = sphere_samples(samples)
-    (p1, r1), (p2, r2) = _homogeneous(zf, True), _homogeneous(uf, False)
+    (p1, r1), (p2, r2) = _homogeneous(zf, 0), _homogeneous(uf, 1)
     return np.concatenate([p1, p2]), np.concatenate([r1, r2])
 
 
@@ -440,9 +439,9 @@ def metric_grid_columns(g: ConformalMetric, n: int = 40):
     One kernel pass per chart gives rho and the exact curvature together.
     """
     pts = grid_points(n)
-    charts = np.array(["finite", "infinity"], dtype=object)
-    rho, curv = zip(*(g._density(*_homogeneous(pts, i == 0), chart=i) for i in range(2)))
-    return (np.tile(pts.real, 2), np.tile(pts.imag, 2), np.repeat(charts, len(pts)),
+    rho, curv = zip(*(g._density(*_homogeneous(pts, i), chart=i) for i in range(2)))
+    return (np.tile(pts.real, 2), np.tile(pts.imag, 2),
+            np.repeat(np.array(CHARTS, dtype=object), len(pts)),
             np.concatenate(rho), np.concatenate(curv))
 
 
@@ -497,11 +496,6 @@ def format_columns_json(columns) -> str:
 def format_grid_csv(rows) -> str:
     """Grid rows (re, im, chart, rho, curvature) as CSV: format_columns_csv of their columns."""
     return format_columns_csv(list(zip(*rows)) or [()] * 5)
-
-
-def format_grid_json(rows) -> str:
-    """Grid rows as json.dumps(grid_rows_as_json(rows), sort_keys=True, indent=1) + newline."""
-    return format_columns_json(list(zip(*rows)) or [()] * 5)
 
 
 def grid_rows_as_json(rows) -> list[dict]:

@@ -67,11 +67,6 @@ def cycles(p: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
-def cycle_lengths(p: tuple[int, ...]) -> tuple[int, ...]:
-    """Multiset of cycle lengths, sorted descending."""
-    return tuple(sorted((len(c) for c in cycles(p)), reverse=True))
-
-
 def order(p: tuple[int, ...]) -> int:
     return math.lcm(*(len(c) for c in cycles(p))) if p else 1
 

@@ -171,7 +171,8 @@ def test_metric_grid_and_curvatures_match_the_row_writers(source, construction, 
     build = {"average": mt.averaged_metric, "conjugate": mt.conjugated_metric,
              "hermitian": mt.hermitian_metric, "orbit": mt.orbit_triple_metric}[construction]
     rows = mt.metric_grid_rows(build(closure(gens)), n=11)
-    assert out.read_text() == (mt.format_grid_csv(rows) if fmt == "csv" else mt.format_grid_json(rows))
+    assert out.read_text() == (mt.format_grid_csv(rows) if fmt == "csv" else
+                               json.dumps(mt.grid_rows_as_json(rows), sort_keys=True, indent=1) + "\n")
     curvatures = [row[4] for row in rows]
     expected = [min(curvatures), max(curvatures), max(curvatures) - min(curvatures)]
     got = [diagnostics[f"curvature_{k}"] for k in ("min", "max", "spread")]
@@ -256,6 +257,17 @@ def test_size_too_large_to_allocate_exit_2(argv, tmp_path):
     assert code == 2 and stdout == ""
     assert err.startswith("error: input too large: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["metric", "--group", "A4", "--grid", "4"],
+                                  ["sc-demo", "--samples", "2"]])
+@pytest.mark.parametrize("target", ["directory", "missing parent"])
+def test_unwritable_out_exit_2(argv, target, tmp_path):
+    # exit 1 is kept for verification failure; metric writes after every diagnostic, so no report
+    out = tmp_path if target == "directory" else tmp_path / "missing" / "dir" / "g.csv"
+    code, stdout, err = _run_quietly(argv + ["--out", str(out)])
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: MalformedInput: cannot write ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -25,7 +25,6 @@ def test_permutation_helpers():
     # compose applies the right-hand factor first
     q = perms.from_cycles([[1, 2]], 4)
     assert perms.compose(p, q)[0] == p[q[0]]
-    assert perms.cycle_lengths(p) == (3, 1)
     assert perms.order(p) == 3
 
 
@@ -34,6 +33,10 @@ def test_parse_equator():
     assert d.dart_count == 2
     assert d.sigma_white == (1, 0)
     assert d.sigma_black == (1, 0)
+    # the derived fields stay out of repr (verify failure details print it) and of ==
+    assert repr(d) == "Dessin(dart_count=2, sigma_white=(1, 0), sigma_black=(1, 0))"
+    assert d.cycles == (((0, 1),), ((0, 1),), ((0,), (1,)))
+    assert d == dd.Dessin(2, (1, 0), (1, 0)) and hash(d) == hash(dd.Dessin(2, (1, 0), (1, 0)))
 
 
 def test_parse_single_edge():
@@ -210,6 +213,47 @@ def test_euler_formula_and_riemann_hurwitz(d):
     tri = dd.triangulate(d)
     assert tri.triangle_count == 2 * d.dart_count
     assert tri.butterfly_count == d.dart_count
+
+
+def _oracle_cycle_id(p, dart):
+    """Position of the cycle holding ``dart`` among the cycles of ``p`` numbered by least dart."""
+    return next(k for k, c in enumerate(sorted(perms.cycles(p), key=min)) if dart in c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(transitive_dessins())
+def test_triangle_ids_match_cycle_membership(d):
+    # triangle 2k is dart k's own (white, black) corner, 2k+1 the one sharing its black-centre edge
+    n, sw, sb = d.dart_count, d.sigma_white, d.sigma_black
+    face = tuple(sw[sb[k]] for k in range(n))
+    expected = []
+    for k in range(n):
+        b, f = _oracle_cycle_id(sb, k), _oracle_cycle_id(face, k)
+        expected += [(_oracle_cycle_id(sw, k), b, f, +1), (_oracle_cycle_id(sw, face[k]), b, f, -1)]
+    tri = dd.triangulate(d)
+    assert tri.triangles == tuple(expected)
+    assert tri.butterfly_pairs == tuple((2 * k, 2 * k + 1) for k in range(n))
+
+
+D3_MAP = '{"darts":6,"sigma_white":[[1,2,3],[4,5,6]],"sigma_black":[[1,4],[2,6],[3,5]]}'
+
+
+@pytest.mark.parametrize("argv", [["info"], ["metric", "--group", "D3", "--grid", "4"]])
+def test_one_decomposition_per_rotation(argv, tmp_path, monkeypatch, capsys):
+    # a dessin decomposes its three rotations once, on construction; every report reads them
+    path = tmp_path / "d3.json"
+    path.write_text(D3_MAP)
+    if argv[0] == "metric":
+        argv = argv + ["--out", str(tmp_path / "g.csv")]
+    calls = Counter()
+    for name in ("cycles", "compose"):
+        def counted(*args, _name=name, _call=getattr(perms, name)):
+            calls[_name] += 1
+            return _call(*args)
+        monkeypatch.setattr(perms, name, counted)
+    assert main([argv[0], str(path), *argv[1:]]) == 0
+    assert calls == {"cycles": 3, "compose": 1}
+    assert "D3" in capsys.readouterr().out
 
 
 @settings(max_examples=40, deadline=None)
