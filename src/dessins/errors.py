@@ -4,6 +4,8 @@
 class DessinsError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 2  # of the command line; 2 is an input error
+
 
 # --- dessin parsing / validation ---
 
@@ -50,6 +52,8 @@ class TrivialGroup(DessinsError):
 class CyclicGroupUnsupported(DessinsError):
     """The construction is undefined for cyclic symmetry groups."""
 
+    exit_code = 3
+
 
 # --- metrics ---
 
@@ -60,6 +64,8 @@ class StencilOutOfDomain(DessinsError):
 class GenusMismatch(DessinsError):
     """Sphere metric constructions need a genus-0 dessin."""
 
+    exit_code = 4
+
 
 # --- triangle mapping ---
 
@@ -68,7 +74,7 @@ class BranchViolation(DessinsError):
 
 
 class NoConvergence(DessinsError):
-    """Newton iteration failed from every starting point."""
+    """A Newton step did not lower the residual, or the steps ran out."""
 
 
 class OutsideButterfly(DessinsError):

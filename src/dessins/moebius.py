@@ -265,7 +265,7 @@ def element_orders(stack: np.ndarray, cap: int = DEFAULT_ORDER_CAP) -> np.ndarra
     n = 1 is tested for them.
     """
     if not 1 <= cap <= _MAX_ORDER_CAP:
-        raise ValueError(f"cap must be from 1 to {_MAX_ORDER_CAP}")
+        raise ValueError(f"cap must be from 1 to {_MAX_ORDER_CAP}, got {cap}")
     stack = np.asarray(stack, dtype=complex)
     rows = len(stack)
     with np.errstate(all="ignore"):  # an overflowing or singular row is no identity

@@ -13,9 +13,11 @@ point and a column of many points go through the same rule.  All
 fractional powers are principal-branch, which is continuous on the closed
 upper half-plane.
 
-The inverse is damped Newton, started from the two-term inverse of the
-vertex series whose local variable (|z|, |z+1| or |1/z|) is smallest.
-Within about 7e-3 of the pi/3 vertex that series is itself the preimage to
+The inverse is Newton with full steps from one start: the two-term
+inverse of the vertex series whose local variable (|z|, |z+1| or |1/z|)
+is smallest.  A step that does not lower the residual raises
+NoConvergence, which off the triangle comes within a few steps.  Within
+about 7e-3 of the pi/3 vertex that series is itself the preimage to
 rounding, closer than any Newton residual test can reach.
 
 Doubling the triangle across its hypotenuse and following the inverse map
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,22 +38,9 @@ from .errors import BranchViolation, NoConvergence, OutsideButterfly
 from .moebius import INFINITY, MoebiusTransform, SpherePoint
 
 NEWTON_TOL = 1e-12  # residual of the inverse, relative to max(1, |w|)
-NEWTON_MAX_ITER = 100  # Newton steps per starting point
+NEWTON_MAX_ITER = 100  # Newton steps per point
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
 _BLOCK = 64  # points per array call; bounds the temporaries of a batch
-
-_ANGLES = (np.pi / 2, np.pi / 3, np.pi / 6)
-
-
-@dataclass(frozen=True)
-class TriangleMap:
-    prevertices: tuple  # (0, -1, inf) on the real axis
-    vertices: tuple     # images of the prevertices
-    constant: complex   # normalization A
-
-    @property
-    def angles(self):
-        return _ANGLES
 
 
 def _rule(panels: int):
@@ -140,8 +128,11 @@ def _piece(region: int, q, integral) -> complex:
     return 3.0 * cmath.exp(cmath.log(q) / 3.0) * integral
 
 
-class _MapData:
-    __slots__ = ("raw_c1", "raw_ci", "raw_vinf", "constant", "v_inf")
+class TriangleMap:
+    """The normalized forward map, with the raw integrals from 0 to -1, i and infinity."""
+    prevertices = (0.0, -1.0, float("inf"))  # on the real axis
+    angles = (np.pi / 2, np.pi / 3, np.pi / 6)  # interior angles at their images
+    __slots__ = ("raw_c1", "raw_ci", "raw_vinf", "constant", "vertices")
 
     def __init__(self):
         def reach(region, q):
@@ -150,10 +141,10 @@ class _MapData:
         self.raw_c1 = reach(0, -0.5 + 0j) - reach(1, 0.5 + 0j)
         # to i/2 from 0, then back along the segment from i to i/2
         self.raw_ci = reach(0, 0.5j) - reach(3, -0.5j)
-        self.constant = 1.0 / self.raw_c1
+        self.constant = 1.0 / self.raw_c1  # normalization A
         tail = 6.0 * _integral(2, 1.0)
         self.raw_vinf = self.raw_ci + reach(3, 1.0 - 1j) + tail
-        self.v_inf = self.constant * self.raw_vinf
+        self.vertices = (0j, 1.0 + 0j, self.constant * self.raw_vinf)
 
     def _raw(self, region: int, q, integral) -> complex:
         piece = _piece(region, q, integral)
@@ -184,21 +175,9 @@ class _MapData:
                 for (r, q), integral in zip(parts, integrals)]
 
 
-_DATA: _MapData | None = None
-
-
-def _data() -> _MapData:
-    global _DATA
-    if _DATA is None:
-        _DATA = _MapData()
-    return _DATA
-
-
+@functools.cache
 def triangle_map() -> TriangleMap:
-    d = _data()
-    return TriangleMap(prevertices=(0.0, -1.0, float("inf")),
-                       vertices=(0j, 1.0 + 0j, d.v_inf),
-                       constant=d.constant)
+    return TriangleMap()
 
 
 def sc_forward(z) -> complex:
@@ -209,7 +188,7 @@ def sc_forward(z) -> complex:
     if z.imag < 0:
         raise BranchViolation(f"{z} lies in the open lower half-plane")
     # -0.0 would put the principal powers on the lower branch of the real axis
-    return _data().forward(complex(z.real, z.imag + 0.0))
+    return triangle_map().forward(complex(z.real, z.imag + 0.0))
 
 
 def _integrand_at(t: complex) -> complex:
@@ -222,9 +201,9 @@ def _upper(z: complex) -> complex:
     return complex(z.real, max(z.imag, 0.0) + 0.0)
 
 
-def _pi3_sigma(w: complex, d: "_MapData") -> complex:
+def _pi3_sigma(w: complex, tm: TriangleMap) -> complex:
     """sigma = (z+1)^(1/3) from w, inverting w = 1 - 3iA sigma (1 + sigma^3/8 + ...)."""
-    r1 = (w - 1.0) / (-3j * d.constant)
+    r1 = (w - 1.0) / (-3j * tm.constant)
     return r1 * (1.0 - r1 * r1 * r1 / 8.0)
 
 
@@ -236,20 +215,20 @@ def _pi3_sigma(w: complex, d: "_MapData") -> complex:
 _PI3_SERIES_RADIUS = 1e-2
 
 
-def _newton_starts(w: complex, d: "_MapData"):
-    # Two-term inverses of the vertex series, each convergent while its
-    # local variable (|z|, |z+1|, |1/z|) is below 1, with the smallest first:
+def _newton_start(w: complex, tm: TriangleMap) -> complex:
+    # The two-term inverse of the vertex series whose local variable (|z|,
+    # |z+1|, |1/z|) is smallest; each series converges while it is below 1:
     #   F(z) = 2 A s (1 - (2/9) s^2 + ...),          s = z^(1/2),
     #   F(z) = 1 - 3 i A sigma (1 + sigma^3/8 + ...),  sigma = (z+1)^(1/3),
     #   F(z) = v_inf - 6 A zeta (1 - (2/21) zeta^6 + ...),  zeta = z^(-1/6).
     # Plain powers would overflow; products give inf or nan, which are dropped.
-    a = d.constant
+    a = tm.constant
     r0 = w / (2.0 * a)
     s = r0 * (1.0 + (2.0 / 9.0) * r0 * r0)
     z0 = s * s
-    sigma = _pi3_sigma(w, d)
+    sigma = _pi3_sigma(w, tm)
     sigma3 = sigma * sigma * sigma
-    ri = (d.v_inf - w) / (6.0 * a)
+    ri = (tm.vertices[2] - w) / (6.0 * a)
     ri3 = ri * ri * ri
     zeta = ri * (1.0 + (2.0 / 21.0) * ri3 * ri3)
     zeta3 = zeta * zeta * zeta
@@ -257,53 +236,44 @@ def _newton_starts(w: complex, d: "_MapData"):
     series = [(abs(z0), z0), (abs(sigma3), -1.0 + sigma3)]
     if zeta6 != 0:
         series.append((abs(zeta6), 1.0 / zeta6))
-    series = sorted((pair for pair in series if cmath.isfinite(pair[1])),
-                    key=lambda pair: pair[0])
-    return [_upper(z) for _, z in series] + [1j, 0.5j, 2j, -0.5 + 0.5j, 0.5 + 0.5j]
+    series = [pair for pair in series if cmath.isfinite(pair[1])]
+    if not series:
+        raise NoConvergence(f"every vertex series overflows at w = {w}")
+    return _upper(min(series, key=lambda pair: pair[0])[1])
 
 
 def sc_inverse(w) -> complex:
-    """Damped-Newton inversion of the forward map onto the closed half-plane.
+    """Newton inversion of the forward map onto the closed half-plane.
 
+    Full steps from one vertex-series start.  A step that does not lower
+    the residual raises NoConvergence; off the triangle that comes within a
+    few steps.
     Within about 7e-3 of the pi/3 vertex w = 1 the preimage is the vertex
     series -1 + sigma^3, which is exact to rounding there.
     """
     w = complex(w)
     if not cmath.isfinite(w):
         raise ValueError(f"{w} is not a finite point")
-    d = _data()
-    if w == d.v_inf:
+    tm = triangle_map()
+    if w == tm.vertices[2]:
         raise ValueError(f"{w} is the pi/6 vertex, the image of the point at infinity")
-    sigma = _pi3_sigma(w, d)
+    sigma = _pi3_sigma(w, tm)
     if abs(sigma) <= _PI3_SERIES_RADIUS:
         return _upper(-1.0 + sigma * sigma * sigma)
     scale = max(1.0, abs(w))
-    for start in _newton_starts(w, d):
-        z = start
-        err = d.forward(z) - w
-        for _ in range(NEWTON_MAX_ITER):
-            if abs(err) < NEWTON_TOL * scale:
-                return z
-            if abs(z) < 1e-12 or abs(z + 1.0) < 1e-12:
-                z += 1e-9 * (1 + 1j)  # step off the integrand singularity
-                err = d.forward(z) - w
-            step = err / (d.constant * _integrand_at(z))
-            limit = max(0.5, 0.5 * abs(z))
-            if abs(step) > limit:
-                step *= limit / abs(step)
-            # damp until the residual actually drops
-            improved = False
-            damping = 1.0
-            while damping >= 1.0 / 64.0:
-                cand = _upper(z - damping * step)
-                cand_err = d.forward(cand) - w
-                if abs(cand_err) < abs(err):
-                    z, err = cand, cand_err
-                    improved = True
-                    break
-                damping /= 2.0
-            if not improved:
-                break  # stuck; try the next start
+    z = _newton_start(w, tm)
+    err = tm.forward(z) - w
+    for _ in range(NEWTON_MAX_ITER):
+        if abs(err) < NEWTON_TOL * scale:
+            return z
+        slope = tm.constant * _integrand_at(z)
+        cand = _upper(z - err / slope) if slope else complex("inf")
+        if not cmath.isfinite(cand):
+            break  # far off the triangle, where the step leaves the floats
+        cand_err = tm.forward(cand) - w
+        if not abs(cand_err) < abs(err):
+            break
+        z, err = cand, cand_err
     raise NoConvergence(f"Newton failed to invert at w = {w}")
 
 
@@ -367,7 +337,7 @@ def boundary_correspondence(samples_per_side: int = 30):
     Returns a list of dicts, one per real-axis arc, each holding the
     sampled abscissas and image points.
     """
-    d = _data()
+    tm = triangle_map()
     arcs = {
         "segment(-1,0) -> side(1,0)": np.linspace(-0.97, -0.03, samples_per_side),
         "ray(0,+inf) -> side(0,v_inf)": np.geomspace(0.03, 30.0, samples_per_side),
@@ -375,5 +345,5 @@ def boundary_correspondence(samples_per_side: int = 30):
     }
     return [{"arc": name,
              "samples": [{"x": float(x), "re": im.real, "im": im.imag}
-                         for x, im in zip(xs, d.forward_many([complex(x, 0.0) for x in xs]))]}
+                         for x, im in zip(xs, tm.forward_many([complex(x, 0.0) for x in xs]))]}
             for name, xs in arcs.items()]

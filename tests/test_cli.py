@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dessins
+from dessins import cli, errors
 from dessins import permutations as perms
 from dessins.cli import build_parser, main
 from dessins.grouptypes import parse_group_tag
@@ -130,6 +131,56 @@ def test_metric_accepts_serialized_group_file(tmp_path, capsys):
                  "--grid", "8", "--out", str(out)])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["group"] == {"order": 3, "type": "C3"}
+
+
+def test_metric_closes_serialized_group_above_the_default_cap(tmp_path, capsys):
+    # 202 elements: the cap is taken from the list, where 200 ended in InfiniteGroup
+    from dessins.finite_groups import closure
+    path = tmp_path / "d101.json"
+    path.write_text(json.dumps(closure(standard_generators(parse_group_tag("D101")),
+                                       cap=300).to_json()))
+    code = main(["metric", "--generators", str(path), "--construction", "average",
+                 "--grid", "8", "--out", str(tmp_path / "d101.csv")])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["group"] == {"order": 202, "type": "D101"}
+
+
+def test_metric_generator_list_above_the_order_cap_exit_2(tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps([[[1, 0], [0, 0], [0, 0], [1, 0]]] * 14013))
+    code, _, err = _run_quietly(["metric", "--generators", str(path), "--grid", "8",
+                                 "--out", str(tmp_path / "g.csv")])
+    assert code == 2
+    assert err == "error: invalid input: cap must be from 1 to 14012, got 14013\n"
+
+
+def test_metric_generator_object_without_elements_exit_2(tmp_path):
+    path = tmp_path / "gens.json"
+    path.write_text('{"type": "D3"}')
+    code, _, err = _run_quietly(["metric", "--generators", str(path), "--grid", "8",
+                                 "--out", str(tmp_path / "g.csv")])
+    assert code == 2
+    assert err == "error: MalformedInput: generator object has no 'elements' list\n"
+
+
+_ERRORS = [cls for cls in vars(errors).values()
+           if isinstance(cls, type) and issubclass(cls, errors.DessinsError)]
+
+
+@pytest.mark.parametrize("error", _ERRORS, ids=lambda cls: cls.__name__)
+def test_every_package_error_has_its_exit_code(error, monkeypatch):
+    def run_checks(*args, **kwargs):
+        raise error("reason")
+
+    monkeypatch.setattr(cli, "run_checks", run_checks)
+    if error is errors.InfiniteGroup:  # still a traceback; see cli.main
+        with pytest.raises(errors.InfiniteGroup):
+            main(["verify", "sc"])
+        return
+    code, out, err = _run_quietly(["verify", "sc"])
+    expected = {errors.CyclicGroupUnsupported: 3, errors.GenusMismatch: 4}.get(error, 2)
+    assert code == error.exit_code == expected
+    assert (out, err) == ("", f"error: {error.__name__}: reason\n")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

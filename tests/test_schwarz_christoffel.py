@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dessins import schwarz_christoffel as sc
-from dessins.errors import BranchViolation, OutsideButterfly
+from dessins.errors import BranchViolation, NoConvergence, OutsideButterfly
 from dessins.moebius import SpherePoint, chordal_distance
 
 
@@ -295,14 +295,14 @@ def _assert_forward_matches_oracle(points):
     fast = [sc.sc_forward(z) for z in points]
     _assert_close_to_oracle(fast, points)
     # the batch over all points at once is the same map, bit for bit
-    assert [repr(w) for w in sc._data().forward_many(points)] == [repr(w) for w in fast]
+    assert [repr(w) for w in sc.triangle_map().forward_many(points)] == [repr(w) for w in fast]
 
 
 def test_map_data_matches_oracle():
-    d = sc._data()
+    tm = sc.triangle_map()
     for name in ("raw_c1", "raw_ci", "raw_vinf", "constant"):
         slow = getattr(_ORACLE, name)
-        assert abs(getattr(d, name) - slow) <= _REL_TOL * abs(slow)
+        assert abs(getattr(tm, name) - slow) <= _REL_TOL * abs(slow)
 
 
 def test_forward_matches_oracle_in_every_region():
@@ -418,7 +418,7 @@ def test_inverse_rejects_the_pi6_vertex_without_a_forward_call(monkeypatch):
         raise AssertionError("forward map evaluated")
 
     with monkeypatch.context() as patch:
-        patch.setattr(sc._MapData, "forward", forward)
+        patch.setattr(sc.TriangleMap, "forward", forward)
         with pytest.raises(ValueError, match="pi/6 vertex"):
             sc.sc_inverse(v_inf)
     z = sc.sc_inverse(complex(v_inf.real, math.nextafter(v_inf.imag, 0.0)))
@@ -487,23 +487,36 @@ def test_forward_ignores_the_sign_of_a_zero_imaginary_part(x):
     assert math.copysign(1.0, sc._upper(complex(x, -0.0)).imag) == 1.0
 
 
-def test_newton_cost_per_point(monkeypatch):
+def _count_forward_calls(monkeypatch):
     calls = [0]
-    forward = sc._MapData.forward
+    forward = sc.TriangleMap.forward
 
     def counted(self, z):
         calls[0] += 1
         return forward(self, z)
 
-    monkeypatch.setattr(sc._MapData, "forward", counted)
-    starts = sc._newton_starts
-    # the first start alone converges on every point
-    monkeypatch.setattr(sc, "_newton_starts", lambda w, d: starts(w, d)[:1])
+    monkeypatch.setattr(sc.TriangleMap, "forward", counted)
+    return calls
+
+
+def test_newton_cost_per_point(monkeypatch):
+    calls = _count_forward_calls(monkeypatch)
     targets = _triangle_points(np.random.default_rng(37), 200)
     for w in targets:
         sc.sc_inverse(w)
     # measured mean 3.4; from the fixed start at i it was 10.5
     assert calls[0] / len(targets) <= 4.0
+
+
+@pytest.mark.parametrize("w", [2, -1 + 1j, 0.5 + 0.5j, 10 + 10j, 0.5 - 2j, -0.1, 1.1 - 0.1j,
+                               0.5 - 0.9j, 1e200, -3.56e39 - 6.57e38j, -1.04e45 - 1.64e46j])
+def test_inverse_off_the_triangle_fails_fast(w, monkeypatch):
+    # the first step that does not lower the residual ends the iteration;
+    # measured at most 16 forward calls, and none where every series overflows
+    calls = _count_forward_calls(monkeypatch)
+    with pytest.raises(NoConvergence):
+        sc.sc_inverse(w)
+    assert calls[0] <= 20
 
 
 def test_closed_form_integrand_matches_array_integrand():
