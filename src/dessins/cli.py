@@ -188,6 +188,29 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+_SC_SAMPLE = '\n        {\n          "im": %s,\n          "re": %s,\n          "x": %s\n        },'
+
+
+def _sc_demo_text(payload) -> str:
+    """json.dumps(payload, sort_keys=True, indent=2) of an sc-demo payload.
+
+    With indent, json runs its pure-Python encoder, so each arc's samples go
+    through one row template instead; %s writes a float as its repr, as json does.
+    """
+    arcs = []
+    for arc in payload["boundary_correspondence"]:
+        values = [v for s in arc["samples"] for v in (s["im"], s["re"], s["x"])]
+        if not math.isfinite(sum(values)):  # the sum is finite only if every value is
+            values = [v if math.isfinite(v) else mt.json_float(v) for v in values]
+        rows = (_SC_SAMPLE * len(arc["samples"]) % tuple(values))[:-1]
+        arcs.append('\n    {\n      "arc": %s,\n      "samples": %s\n    },' % (
+            json.dumps(arc["arc"]), "[" + rows + "\n      ]" if rows else "[]"))
+    arcs = "[" + "".join(arcs)[:-1] + "\n  ]" if arcs else "[]"
+    triangle = json.dumps(payload["triangle"], sort_keys=True, indent=2)
+    return '{\n  "boundary_correspondence": %s,\n  "triangle": %s\n}' % (
+        arcs, triangle.replace("\n", "\n  "))
+
+
 def cmd_sc_demo(args) -> int:
     tm = sc.triangle_map()
     payload = {
@@ -199,7 +222,7 @@ def cmd_sc_demo(args) -> int:
         },
         "boundary_correspondence": sc.boundary_correspondence(args.samples),
     }
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    text = _sc_demo_text(payload)
     if args.out:
         _write_text(args.out, text + "\n")
     else:

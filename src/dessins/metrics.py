@@ -455,7 +455,7 @@ GRID_HEADER = "re,im,chart,rho,curvature"
 _JSON_ROW = ' {\n  "chart": %s,\n  "curvature": %s,\n  "im": %s,\n  "re": %s,\n  "rho": %s\n }'
 
 
-def _json_float(x) -> str:
+def json_float(x) -> str:
     """A non-finite float as json.dumps writes it."""
     return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
 
@@ -471,7 +471,7 @@ def _column_texts(col, json: bool = False) -> list[str]:
     texts = np.array(texts.split(",")[:-1], dtype=object)
     if json:
         odd = ~np.isfinite(values)
-        texts[odd] = [_json_float(x) for x in values[odd].tolist()]
+        texts[odd] = [json_float(x) for x in values[odd].tolist()]
     return texts[inverse].tolist()
 
 

@@ -15,10 +15,16 @@ upper half-plane.
 
 The inverse is Newton with full steps from one start: the two-term
 inverse of the vertex series whose local variable (|z|, |z+1| or |1/z|)
-is smallest.  A step that does not lower the residual raises
-NoConvergence, which off the triangle comes within a few steps.  Within
-about 7e-3 of the pi/3 vertex that series is itself the preimage to
-rounding, closer than any Newton residual test can reach.
+is smallest.  The residual F(z) - w is carried along each step: a short
+Gauss-Legendre rule on the step's segment, of 2 to 12 nodes chosen by the
+ratio of its length to its distance from 0 and -1, gives F(cand) - F(z),
+and a forward call is made only for a step too long for those rules.
+Every decision that ends the iteration is taken on the forward map: a
+carried residual below the tolerance is confirmed by one forward call,
+and a step that does not lower the residual raises NoConvergence only
+once the map shows it, which off the triangle comes within a few steps.
+Within about 7e-3 of the pi/3 vertex the vertex series is itself the
+preimage to rounding, closer than any Newton residual test can reach.
 
 Doubling the triangle across its hypotenuse and following the inverse map
 with z -> z/(z+1) produces the degree-1 covering of the sphere by one
@@ -55,24 +61,25 @@ def _integrand(t):
     return np.exp(-0.5 * np.log(t) - (2.0 / 3.0) * np.log(t + 1.0))
 
 
-# Substituted integrands f(q, s) on s in [0, 1].  The parameter q is a
-# scalar or a column of per-point values broadcast against the nodes.
+# Substituted integrands f(q, p) on s in [0, 1], where p holds the power of
+# the nodes s that the substitution needs (_REGIONS keeps it).  The parameter
+# q is a scalar or a column of per-point values broadcast against the nodes.
 
 def _from_zero(z, s):
     # t = z s^2 on [0, z]; used while |z| <= 0.5
     return np.exp(-(2.0 / 3.0) * np.log(1.0 + z * s * s))
 
 
-def _from_minus_one(w, s):
+def _from_minus_one(w, s3):
     # t = -1 + w s^3 on [-1, z] with w = z + 1; used while |w| <= 0.5
-    return np.exp(-0.5 * np.log(-1.0 + w * s ** 3))
+    return np.exp(-0.5 * np.log(-1.0 + w * s3))
 
 
-def _from_infinity(z, u):
+def _from_infinity(z, u6):
     # t = z / u^6 on the ray [z, inf); for |z| > 2 the ray misses both
     # finite prevertices.  At z = 1 this is the tail along [1, +inf), where
     # t = 1/u^6 removes both the decay and the u^(-5/6) endpoint power.
-    return np.exp(-(2.0 / 3.0) * np.log(z + u ** 6))
+    return np.exp(-(2.0 / 3.0) * np.log(z + u6))
 
 
 def _segment(a, span, s):
@@ -81,15 +88,15 @@ def _segment(a, span, s):
 
 
 # The quadrature that reaches z from 0, -1, infinity and i, in the order
-# _region numbers them, as (integrand, nodes, weights); their parameters
-# are z, z + 1, z and z - i.  Every integrand is analytic on a neighbourhood
-# of [0, 1] whose size sets the number of panels: the singularities lie at
-# |s| >= sqrt(2) from 0, |s| >= 2^(1/3) from -1 and |u| >= 2^(1/6) from
-# infinity, while a segment from i can pass within 1/sqrt(13) of a
-# prevertex (see _region), so it takes four panels.
-_REGIONS = tuple((f, *_rule(panels)) for f, panels in (
-    (_from_zero, 1), (_from_minus_one, 1), (_from_infinity, 2),
-    (functools.partial(_segment, 1j), 4)))
+# _region numbers them, as (integrand, node powers, weights); their
+# parameters are z, z + 1, z and z - i.  Every integrand is analytic on a
+# neighbourhood of [0, 1] whose size sets the number of panels: the
+# singularities lie at |s| >= sqrt(2) from 0, |s| >= 2^(1/3) from -1 and
+# |u| >= 2^(1/6) from infinity, while a segment from i can pass within
+# 1/sqrt(13) of a prevertex (see _region), so it takes four panels.
+_REGIONS = tuple((f, nodes ** power, weights) for f, (nodes, weights), power in (
+    (_from_zero, _rule(1), 1), (_from_minus_one, _rule(1), 3), (_from_infinity, _rule(2), 6),
+    (functools.partial(_segment, 1j), _rule(4), 1)))
 
 
 def _integral(region: int, q):
@@ -128,11 +135,31 @@ def _piece(region: int, q, integral) -> complex:
     return 3.0 * cmath.exp(cmath.log(q) / 3.0) * integral
 
 
+# (ratio bound, nodes) of the short Gauss-Legendre rules for F(b) - F(a)
+# along a segment, by the ratio of its length to its distance from the
+# prevertices 0 and -1.  A rule of n nodes converges like rho^(-2n), where
+# rho is about 4 / ratio, so at each bound it is below 1e-26: far under
+# rounding, with room for the size of the integrand near the prevertices.
+_SHORT_RULES = ((1e-6, 2), (1e-3, 4), (5e-2, 8), (0.25, 12))
+
+
+def _short_rule(nodes: int):
+    """Nodes and weights of the ``nodes``-point Gauss-Legendre rule on [0, 1], as lists."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    return (0.5 * x + 0.5).tolist(), (0.5 * w).tolist()
+
+
+def _clearance(a: complex, span: complex, p: float) -> float:
+    """Distance from p to the segment from a to a + span (span nonzero)."""
+    s = min(max(((p - a) / span).real, 0.0), 1.0)
+    return abs(a + span * s - p)
+
+
 class TriangleMap:
     """The normalized forward map, with the raw integrals from 0 to -1, i and infinity."""
     prevertices = (0.0, -1.0, float("inf"))  # on the real axis
     angles = (np.pi / 2, np.pi / 3, np.pi / 6)  # interior angles at their images
-    __slots__ = ("raw_c1", "raw_ci", "raw_vinf", "constant", "vertices")
+    __slots__ = ("raw_c1", "raw_ci", "raw_vinf", "constant", "vertices", "short_rules")
 
     def __init__(self):
         def reach(region, q):
@@ -145,6 +172,8 @@ class TriangleMap:
         tail = 6.0 * _integral(2, 1.0)
         self.raw_vinf = self.raw_ci + reach(3, 1.0 - 1j) + tail
         self.vertices = (0j, 1.0 + 0j, self.constant * self.raw_vinf)
+        # (ratio bound, nodes, weights) of each short rule, for difference
+        self.short_rules = tuple((bound, *_short_rule(n)) for bound, n in _SHORT_RULES)
 
     def _raw(self, region: int, q, integral) -> complex:
         piece = _piece(region, q, integral)
@@ -159,6 +188,25 @@ class TriangleMap:
     def forward(self, z: complex) -> complex:
         region, q = _region(z)
         return self.constant * self._raw(region, q, _integral(region, q))
+
+    def difference(self, a: complex, b: complex):
+        """F(b) - F(a) by a short rule on the segment from a to b, or None if it is too long.
+
+        The rule is the first of _SHORT_RULES whose ratio bound the segment's
+        length meets, relative to the segment's distance from 0 and -1.  The
+        nodes lie on the segment, so a segment on the real axis with +0.0
+        imaginary parts keeps the upper branch.
+        """
+        span = b - a
+        length = abs(span)
+        if not length:
+            return 0j
+        reach = min(_clearance(a, span, 0.0), _clearance(a, span, -1.0))
+        for bound, nodes, weights in self.short_rules:
+            if length <= bound * reach:
+                return self.constant * span * sum(
+                    [wt * _integrand_at(a + span * s) for s, wt in zip(nodes, weights)])
+        return None
 
     def forward_many(self, zs) -> list:
         """forward(z) for each point of zs, with each region's points in array calls."""
@@ -245,9 +293,13 @@ def _newton_start(w: complex, tm: TriangleMap) -> complex:
 def sc_inverse(w) -> complex:
     """Newton inversion of the forward map onto the closed half-plane.
 
-    Full steps from one vertex-series start.  A step that does not lower
-    the residual raises NoConvergence; off the triangle that comes within a
-    few steps.
+    Full steps from one vertex-series start.  Each step carries the residual
+    F(z) - w along by TriangleMap.difference where a short rule reaches, and
+    evaluates the forward map where it does not.  Every decision that ends
+    the iteration is taken on the forward map: a carried residual below the
+    tolerance is confirmed before z is returned, and a step that does not
+    lower the residual raises NoConvergence only after the map itself shows
+    it; off the triangle that comes within a few steps.
     Within about 7e-3 of the pi/3 vertex w = 1 the preimage is the vertex
     series -1 + sigma^3, which is exact to rounding there.
     """
@@ -260,20 +312,40 @@ def sc_inverse(w) -> complex:
     sigma = _pi3_sigma(w, tm)
     if abs(sigma) <= _PI3_SERIES_RADIUS:
         return _upper(-1.0 + sigma * sigma * sigma)
-    scale = max(1.0, abs(w))
+    tol = NEWTON_TOL * max(1.0, abs(w))
     z = _newton_start(w, tm)
-    err = tm.forward(z) - w
+    # err is F(z) - w, from the forward map when exact and carried otherwise;
+    # once the map overrules a carried residual, no later step is carried
+    err, exact, carry = tm.forward(z) - w, True, True
     for _ in range(NEWTON_MAX_ITER):
-        if abs(err) < NEWTON_TOL * scale:
-            return z
-        slope = tm.constant * _integrand_at(z)
-        cand = _upper(z - err / slope) if slope else complex("inf")
-        if not cmath.isfinite(cand):
-            break  # far off the triangle, where the step leaves the floats
-        cand_err = tm.forward(cand) - w
-        if not abs(cand_err) < abs(err):
+        if abs(err) < tol:
+            if exact:
+                return z
+        else:
+            slope = tm.constant * _integrand_at(z)
+            cand = _upper(z - err / slope) if slope else complex("inf")
+            # far off the triangle the step can leave the floats
+            if cmath.isfinite(cand):
+                step = tm.difference(z, cand) if carry else None
+                if step is not None and abs(err + step) < abs(err):
+                    z, err, exact = cand, err + step, False
+                    continue
+                cand_err = tm.forward(cand) - w
+                if abs(cand_err) < abs(err):
+                    z, err, exact = cand, cand_err, True
+                    continue
+                if not exact:
+                    # the step came from a residual the map has not checked:
+                    # go on from the better of z and cand on the map
+                    err, exact, carry = tm.forward(z) - w, True, False
+                    if abs(cand_err) < abs(err):
+                        z, err = cand, cand_err
+                    continue
+        if exact:
             break
-        z, err = cand, cand_err
+        # a carried residual below the tolerance, or one whose step overflows,
+        # is checked on the map, and after that no step is carried
+        err, exact, carry = tm.forward(z) - w, True, False
     raise NoConvergence(f"Newton failed to invert at w = {w}")
 
 

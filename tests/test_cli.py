@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import dessins
 from dessins import cli, errors
 from dessins import permutations as perms
+from dessins import schwarz_christoffel as sc
 from dessins.cli import build_parser, main
 from dessins.grouptypes import parse_group_tag
 from dessins.moebius import MoebiusTransform, standard_generators
@@ -268,6 +269,40 @@ def test_sc_demo(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["boundary_correspondence"]) == 3
     assert payload["triangle"]["angles"][0] == pytest.approx(1.5707963267948966)
+
+
+def _sc_demo_payload(samples):
+    tm = sc.triangle_map()
+    return {
+        "triangle": {
+            "prevertices": [0.0, -1.0, "inf"],
+            "vertices": [[v.real, v.imag] for v in tm.vertices],
+            "angles": list(tm.angles),
+            "constant": [tm.constant.real, tm.constant.imag],
+        },
+        "boundary_correspondence": sc.boundary_correspondence(samples),
+    }
+
+
+@pytest.mark.parametrize("samples", [1, 2, 5, 300])
+def test_sc_demo_text_is_json_dumps(samples, tmp_path, capsys):
+    # json.dumps with indent is the slow path the row template replaces, kept as the oracle
+    expected = json.dumps(_sc_demo_payload(samples), sort_keys=True, indent=2) + "\n"
+    assert main(["sc-demo", "--samples", str(samples)]) == 0
+    assert capsys.readouterr().out == expected
+    out = tmp_path / "sc.json"
+    assert main(["sc-demo", "--samples", str(samples), "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == expected
+
+
+def test_sc_demo_text_writes_non_finite_floats_as_json_does():
+    payload = _sc_demo_payload(2)
+    arcs = payload["boundary_correspondence"]
+    arcs[0]["samples"][0].update(x=float("nan"), re=float("inf"), im=-float("inf"))
+    arcs[1]["samples"][1]["re"] = 1e308
+    arcs[2]["samples"] = []
+    payload["triangle"]["constant"] = [float("nan"), -0.0]
+    assert cli._sc_demo_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
 
 
 def _rejected(argv, capsys, flag):
