@@ -29,6 +29,7 @@ from .moebius import (DEFAULT_ORDER_CAP, PROJECTIVE_TOL, MoebiusTransform,
 DEFAULT_CLOSURE_CAP = 200
 CLOSURE_BLOCK = 64  # products compared per call; bounds the temporary at 64 x stack
 CLUSTER_TOL = 1e-8  # chordal distance identifying sphere points
+CLUSTER_BLOCK = 256  # fixed points per gap table; bounds the temporary at 256 x points
 SPREAD_SAMPLES = 200  # sphere samples per comparison of two conjugated metrics
 SPREAD_CONDITION = 100.0  # condition cap of their random conjugators
 
@@ -197,24 +198,27 @@ def is_in_SO3(g: FiniteMoebiusGroup, tol: float = 1e-8) -> bool:
 def orbit_analysis(g: FiniteMoebiusGroup) -> OrbitData:
     """Fixed points of the non-identity elements, grouped into orbits.
 
-    Fixed points are clustered in order against the representatives kept
-    so far; the images of a representative under the whole stack, matched
-    against the representatives, give its orbit and its stabilizer.  The
-    class formula |orbit| * stabilizer = |G| is validated for every orbit;
-    orbits come back sorted by decreasing size.
+    A fixed point leads its cluster when no earlier one lies within
+    CLUSTER_TOL (one chordal-gap table per CLUSTER_BLOCK points): the first
+    of each cluster, when clusters are narrower than the tolerance and lie
+    farther apart than it.  The images of a representative under the whole
+    stack, matched against the representatives, give its orbit and its
+    stabilizer.  The class formula |orbit| * stabilizer = |G| is validated
+    for every orbit; orbits come back sorted by decreasing size.
     """
     moving = g.stack[projective_gap(g.stack, np.eye(2)) >= PROJECTIVE_TOL]
     if not len(moving):
         raise TrivialGroup("the trivial group fixes everything")
     points = [p for m in moving for p in fixed_points(MoebiusTransform.from_normalized(m))]
-    reps: list[SpherePoint] = []
-    coords = np.empty((len(points), 2), dtype=complex)
-    for p in points:
-        v = homogeneous(p)
-        if (chordal_gap(coords[:len(reps)], v) >= CLUSTER_TOL).all():
-            coords[len(reps)] = v
-            reps.append(p)
-    coords = coords[:len(reps)]
+    coords = np.array([homogeneous(p) for p in points])
+    leads = np.empty(len(points), dtype=bool)
+    for lo in range(0, len(points), CLUSTER_BLOCK):
+        hi = min(lo + CLUSTER_BLOCK, len(points))
+        near = chordal_gap(coords[lo:hi, None], coords[:hi]) < CLUSTER_TOL
+        earlier = np.arange(hi) < np.arange(lo, hi)[:, None]
+        leads[lo:hi] = ~(near & earlier).any(axis=1)
+    reps = [p for p, lead in zip(points, leads) if lead]
+    coords = coords[leads]
     assigned = np.zeros(len(reps), dtype=bool)
     orbits: list[Orbit] = []
     for k in range(len(reps)):

@@ -224,6 +224,22 @@ def _homogeneous(coords: np.ndarray, chart: int):
     return (coords, one) if chart == 0 else (one, coords)
 
 
+def curvature(g: ConformalMetric, z) -> float:
+    """Gaussian curvature of g at a point, exact from the kernel.
+
+    Points with |z| > 1 (and infinity itself) are evaluated in the
+    u = 1/z chart, as the grid's second chart is.
+    """
+    p = as_sphere_point(z)
+    if p.is_infinity:
+        chart, w = 1, 0j
+    elif abs(p.z) > 1.0:
+        chart, w = 1, 1.0 / p.z
+    else:
+        chart, w = 0, p.z
+    return float(g._density(*_homogeneous(np.array([w]), chart), chart=chart)[1][0])
+
+
 def round_metric() -> ConformalMetric:
     """The radius-1 round sphere: 4 / (1 + |.|^2)^2 in both charts."""
     return ConformalMetric(np.eye(2))
@@ -309,8 +325,9 @@ def orbit_triple_metric(g: FiniteMoebiusGroup) -> ConformalMetric:
 
 
 # ---------------------------------------------------------------------------
-# finite-difference curvature: the tests' oracle of the kernel's closed form.
-# Works on any object with rho and rho_at_infinity; no command calls it.
+# finite-difference curvature by the 5-point stencil: the tests' oracle of the
+# kernel's closed form, timed by the benchmark's probe.  Works on any object with
+# rho and rho_at_infinity; no command calls it, nor does curvature().
 
 def _stencil_values(g, chart: str, coords, h):
     """rho at coordinates of the named chart (row 0) and at their four neighbours at distance h."""
@@ -348,25 +365,6 @@ def curvature_samples(g, chart: str, coords, step: float = DEFAULT_CURVATURE_STE
     An oracle for tests: the report grid takes the kernel's exact curvature.
     """
     return _laplacian_curvature(_stencil_values(g, chart, coords, step), step)
-
-
-def curvature(g, z, step: float = DEFAULT_CURVATURE_STEP) -> float:
-    """Gaussian curvature at a point, by the 5-point Laplacian of log(rho)/2.
-
-    Points with |z| > 1 (and infinity itself) are evaluated in the
-    u = 1/z chart, where the stencil stays on the unit disc.  A test
-    oracle, like curvature_samples.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    p = as_sphere_point(z)
-    if p.is_infinity:
-        chart, w = 1, 0j
-    elif abs(p.z) > 1.0:
-        chart, w = 1, 1.0 / p.z
-    else:
-        chart, w = 0, p.z
-    return float(curvature_samples(g, CHARTS[chart], w, step)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +445,7 @@ def metric_grid_columns(g: ConformalMetric, n: int = 40):
 
 def metric_grid_rows(g: ConformalMetric, n: int = 40, step=None):
     """The grid columns as rows (re, im, chart, rho, curvature) of Python values."""
-    # step is ignored: the benchmark's replay still passes the CLI's --step
+    # step is ignored: the benchmark's replay still passes the parser's default args.step
     return list(zip(*(col.tolist() for col in metric_grid_columns(g, n))))
 
 

@@ -44,6 +44,19 @@ class CheckResult:
         return f"[{mark}] criterion {self.criterion}: {self.name} — {self.detail}"
 
 
+def _result(criterion: int, name: str, failures: list[str], passed_detail: str) -> CheckResult:
+    """The check passes without failures; otherwise its detail joins them with "; "."""
+    return CheckResult(criterion, name, not failures,
+                       "; ".join(failures) if failures else passed_detail)
+
+
+def _conjugates(tag: str, rng: np.random.Generator) -> list[FiniteMoebiusGroup]:
+    """The standard group of the tag and 3 conjugates by conjugators up to WIDE_CONDITION."""
+    base = from_type(tag)
+    return [base] + [conjugate_group(base, random_conjugator(rng, WIDE_CONDITION))
+                     for _ in range(3)]
+
+
 # ---------------------------------------------------------------------------
 # groups scope
 
@@ -69,10 +82,10 @@ def check_group_orders(perturb: float | None = None) -> CheckResult:
         if g.order != expected or str(g.type_tag) != tag:
             failures.append(f"{tag}: order {g.order}, tag {g.type_tag}")
     elapsed = time.perf_counter() - start
-    ok = not failures and elapsed < 10.0
-    detail = (f"all closures exact in {elapsed:.2f}s" if ok
-              else f"{failures} (elapsed {elapsed:.2f}s)")
-    return CheckResult(1, "standard generator closure orders", ok, detail)
+    if elapsed >= 10.0:
+        failures.append(f"elapsed {elapsed:.2f}s >= 10s")
+    return _result(1, "standard generator closure orders", failures,
+                   f"all closures exact in {elapsed:.2f}s")
 
 
 _ORBIT_CASES = [("D2", (2, 2, 2)), ("D3", (3, 3, 2)), ("D6", (6, 6, 2)),
@@ -88,26 +101,20 @@ def check_orbit_signatures() -> CheckResult:
         for orbit in data.orbits:
             if len(orbit.points) * orbit.stabilizer_order != data.group_order:
                 failures.append(f"{tag}: class formula broken")
-    ok = not failures
-    return CheckResult(2, "orbit signatures and class formula", ok,
-                       "all signatures exact" if ok else str(failures))
+    return _result(2, "orbit signatures and class formula", failures, "all signatures exact")
 
 
 def check_unitarization(seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
     failures = []
     for tag in ("D4", "A4", "S4", "A5"):
-        base = from_type(tag)
-        groups = [base] + [conjugate_group(base, random_conjugator(rng, WIDE_CONDITION))
-                           for _ in range(3)]
-        for k, g in enumerate(groups):
+        for k, g in enumerate(_conjugates(tag, rng)):
             moved = conjugate_group(g, unitarize(g))
             if not is_in_SO3(moved, 1e-8):
                 worst = max(m.unitarity_defect() for m in moved.elements)
                 failures.append(f"{tag}#{k}: defect {worst:.2e}")
-    ok = not failures
-    return CheckResult(3, "unitarization to projective unitarity 1e-8", ok,
-                       "all conjugates unitarized" if ok else str(failures))
+    return _result(3, "unitarization to projective unitarity 1e-8", failures,
+                   "all conjugates unitarized")
 
 
 def check_well_definedness(seed: int = 0) -> CheckResult:
@@ -121,9 +128,8 @@ def check_well_definedness(seed: int = 0) -> CheckResult:
         failures.append("C5 did not raise CyclicGroupUnsupported")
     except CyclicGroupUnsupported:
         pass
-    ok = not failures
-    return CheckResult(6, "conjugated metric independent of the conjugator", ok,
-                       "spreads < 1e-6, cyclic case rejected" if ok else str(failures))
+    return _result(6, "conjugated metric independent of the conjugator", failures,
+                   "spreads < 1e-6, cyclic case rejected")
 
 
 _REFERENCE_DESSINS = [
@@ -170,10 +176,8 @@ def check_dessin_topology(seed: int = 0) -> CheckResult:
             failures.append(f"|Aut| does not divide darts on {d}")
         if d.dart_count <= 7 and aut_group != dd.brute_force_automorphisms(d):
             failures.append(f"centralizer mismatch on {d}")
-    ok = not failures
-    return CheckResult(8, "dessin topology and automorphism oracles", ok,
-                       "references, Riemann-Hurwitz and brute force agree"
-                       if ok else str(failures))
+    return _result(8, "dessin topology and automorphism oracles", failures,
+                   "references, Riemann-Hurwitz and brute force agree")
 
 
 # ---------------------------------------------------------------------------
@@ -188,20 +192,17 @@ def check_constant_curvature(seed: int = 0) -> CheckResult:
     worst = 0.0
     failures = []
     for tag in _NON_CYCLIC:
-        base = from_type(tag)
-        groups = [base] + [conjugate_group(base, random_conjugator(rng, WIDE_CONDITION))
-                           for _ in range(3)]
-        for k, g in enumerate(groups):
+        for k, g in enumerate(_conjugates(tag, rng)):
             curvature = mt.metric_grid_columns(mt.conjugated_metric(g), 40)[4]
             err = float(np.abs(curvature - 1.0).max())
             worst = max(worst, err)
             if err >= CURVATURE_TOL:
-                failures.append(f"{tag}#{k}: |K-1| = {err:.2e}")
+                failures.append(f"{tag}#{k}: |K-1| = {err:.2e} >= {CURVATURE_TOL:.0e}")
     elapsed = time.perf_counter() - start
-    ok = not failures and elapsed < 60.0
-    detail = (f"worst |K-1| = {worst:.2e} < {CURVATURE_TOL:.0e} in {elapsed:.2f}s" if ok
-              else f"{failures} >= {CURVATURE_TOL:.0e} (elapsed {elapsed:.1f}s)")
-    return CheckResult(4, "constant curvature 1 of the conjugated metric", ok, detail)
+    if elapsed >= 60.0:
+        failures.append(f"elapsed {elapsed:.1f}s >= 60s")
+    return _result(4, "constant curvature 1 of the conjugated metric", failures,
+                   f"worst |K-1| = {worst:.2e} < {CURVATURE_TOL:.0e} in {elapsed:.2f}s")
 
 
 def check_invariance(seed: int = 0) -> CheckResult:
@@ -227,10 +228,8 @@ def check_invariance(seed: int = 0) -> CheckResult:
             worst["conjugate"] = max(worst["conjugate"], d_con)
             if d_con >= 1e-8:
                 failures.append(f"conjugate/{name}: {d_con:.2e}")
-    ok = not failures
-    detail = ("worst defects: " + ", ".join(f"{k} {v:.1e}" for k, v in worst.items())
-              if ok else str(failures))
-    return CheckResult(5, "invariance of the three group metrics", ok, detail)
+    return _result(5, "invariance of the three group metrics", failures,
+                   "worst defects: " + ", ".join(f"{k} {v:.1e}" for k, v in worst.items()))
 
 
 def check_so3_coincidence() -> CheckResult:
@@ -248,9 +247,8 @@ def check_so3_coincidence() -> CheckResult:
             dist = mt.metric_distance(build(g), rnd, 200)
             if dist >= 1e-9:
                 failures.append(f"{name}/{tag}: distance {dist:.2e}")
-    ok = not failures
-    return CheckResult(7, "rotation groups reproduce the round metric", ok,
-                       "constructions 1-3 within 1e-9 of round" if ok else str(failures))
+    return _result(7, "rotation groups reproduce the round metric", failures,
+                   "constructions 1-3 within 1e-9 of round")
 
 
 def check_grid_determinism() -> CheckResult:
@@ -272,11 +270,9 @@ def check_grid_determinism() -> CheckResult:
     for name, parsed in (("JSON", from_json), ("CSV", from_csv)):
         if repr(parsed) != repr(rows):  # repr tells apart all doubles but NaNs; rows hold none
             failures.append(f"{name} grid does not parse back to the rows bit for bit")
-    ok = not failures
-    return CheckResult(10, "grid emission is byte-deterministic", ok,
-                       "two from-scratch runs identical as CSV and as JSON, the row and column "
-                       "CSV writers identical; both parse back bit for bit"
-                       if ok else "; ".join(failures))
+    return _result(10, "grid emission is byte-deterministic", failures,
+                   "two from-scratch runs identical as CSV and as JSON, the row and column "
+                   "CSV writers identical; both parse back bit for bit")
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +335,8 @@ def check_triangle_map() -> CheckResult:
                                sc.butterfly_belyi(base - 1e-4 * normal))
         if gap >= 1e-3:
             failures.append(f"gluing gap {gap:.2e} at s = {s:.2f}")
-    ok = not failures
-    return CheckResult(9, "triangle map angles, round trips and gluing", ok,
-                       "all within tolerance" if ok else str(failures))
+    return _result(9, "triangle map angles, round trips and gluing", failures,
+                   "all within tolerance")
 
 
 # ---------------------------------------------------------------------------
@@ -361,14 +356,7 @@ def run_checks(scope: str = "all", seed: int = 0,
                     check_grid_determinism],
         "sc": [check_triangle_map],
     }
-    if scope == "all":
-        names = ["groups", "metrics", "sc"]
-    elif scope in scopes:
-        names = [scope]
-    else:
+    if scope != "all" and scope not in scopes:
         raise ValueError(f"unknown scope {scope!r}; choose groups, metrics, sc or all")
-    results = []
-    for name in names:
-        for check in scopes[name]:
-            results.append(check())
-    return results
+    names = list(scopes) if scope == "all" else [scope]
+    return [check() for name in names for check in scopes[name]]

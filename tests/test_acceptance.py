@@ -103,3 +103,14 @@ def test_criterion_10_grid_emission_catches_drift(name, patch, failure, monkeypa
     monkeypatch.setattr(mt, name, patch(getattr(mt, name)))
     result = vf.check_grid_determinism()
     assert not result.passed and result.detail == failure
+
+
+def test_failure_details_join_into_one_line_with_an_overrun_as_one_entry(monkeypatch):
+    # criterion 1 on a perturbed generator, with the clock read as 11 s after the start
+    clock = iter([0.0])
+    monkeypatch.setattr(vf.time, "perf_counter", lambda: next(clock, 11.0))
+    result = vf.check_group_orders(1.01)
+    failures = result.detail.split("; ")
+    assert not result.passed and failures[0] == "C2: InfiniteGroup"
+    assert failures[-1] == "elapsed 11.00s >= 10s"
+    assert result.line().count("\n") == 0

@@ -8,6 +8,7 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -322,11 +323,6 @@ def test_metric_grid_below_three_exit_2(size, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("step", ["0", "-0.001", "nan", "inf"])
-def test_metric_step_not_positive_exit_2(step, capsys):
-    _rejected(["metric", "--group", "D3", "--step", step], capsys, "--step")
-
-
 @pytest.mark.parametrize("samples", ["0", "-1"])
 def test_sc_demo_samples_below_one_exit_2(samples, capsys):
     _rejected(["sc-demo", "--samples", samples], capsys, "--samples")
@@ -409,18 +405,40 @@ def _run_quietly(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("step", ["1e300", "1e-17", "1e-20", "1e-200"])
-def test_metric_step_is_ignored(step, tmp_path):
-    # the curvature is exact: steps the finite-difference stencil could not take
-    # (see test_stencil_step_out_of_domain_raises) leave every output byte unchanged
-    runs = []
-    for extra in ([], ["--step", step]):
-        out = tmp_path / "g.json"
-        code, stdout, err = _run_quietly(["metric", "--group", "A4", "--grid", "8",
-                                          "--format", "json", "--out", str(out), *extra])
-        runs.append((code, stdout, err, out.read_bytes()))
-    assert runs[0] == runs[1]
-    assert runs[0][0] == 0 and runs[0][2] == ""
+def _usage_and_one_error(err: str) -> bool:
+    """argparse's rejection: the usage block, then exactly one error line."""
+    lines = [line for line in err.splitlines() if not line.startswith(("usage: ", " "))]
+    return err.startswith("usage: ") and len(lines) == 1 and "error: " in lines[0]
+
+
+@pytest.mark.parametrize("step", ["0", "-0.001", "nan", "inf", "0.01"])
+def test_metric_step_not_positive_exit_2(step, tmp_path):
+    # the curvature is exact, so the finite-difference step is no longer an option:
+    # every --step value, sound or not, is refused
+    out = tmp_path / "g.csv"
+    code, stdout, err = _run_quietly(["metric", "--group", "D3", "--step", step,
+                                      "--out", str(out)])
+    assert code == 2 and stdout == ""
+    assert _usage_and_one_error(err) and "--step" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+_HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["metric", "--group", "D3", "--grid", _HUGE], 2),  # numpy refuses the size
+    (["metric", "--group", "D3", "--grid", "8", "--seed", _HUGE], 0),
+    (["sc-demo", "--samples", _HUGE], 2),
+    (["verify", "sc", "--seed", _HUGE], 0),
+], ids=["grid", "seed", "samples", "verify-seed"])
+def test_huge_integer_flags_do_not_traceback(argv, expected, tmp_path):
+    # a 400-digit int overflowed math.isfinite in the flag check: an OverflowError traceback
+    if argv[0] != "verify":
+        argv = argv + ["--out", str(tmp_path / "out")]
+    code, stdout, err = _run_quietly(argv)
+    assert code == expected
+    assert err == "" if code == 0 else err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("construction", ["average", "conjugate", "hermitian", "orbit"])
@@ -591,23 +609,90 @@ def _int_at_most(limit):
 
 _GRID_TEXT = st.integers(min_value=-3, max_value=14).map(str) | st.text(max_size=4).filter(
     _int_at_most(14))
-_STEP_TEXT = (st.floats(min_value=1e-6, max_value=0.5).map(repr) | st.floats().map(repr)
-              | st.sampled_from(["1e-200", "1e-170", "5e-324", "1e300", "nan", "-0", "inf"]))
 
 
 @settings(max_examples=100, deadline=None)
-@given(grid=_GRID_TEXT, step=_STEP_TEXT)
-def test_metric_numeric_flags_fuzz(tmp_path_factory, grid, step):
+@given(grid=_GRID_TEXT)
+def test_metric_numeric_flags_fuzz(tmp_path_factory, grid):
     out = tmp_path_factory.getbasetemp() / "fuzz-grid.csv"
     out.unlink(missing_ok=True)
     code, _, err = _run_quietly(["metric", "--group", "A4", "--construction", "conjugate",
-                                 f"--grid={grid}", f"--step={step}", "--out", str(out)])
+                                 f"--grid={grid}", "--out", str(out)])
     assert code in (0, 2)
     if code == 0:
         assert err == "" and "nan" not in out.read_text()
         return
-    lines = err.splitlines()
-    if lines[0].startswith("usage: "):  # argparse: the usage block, then one error line
-        lines = [line for line in lines if not line.startswith(("usage: ", " "))]
-    assert len(lines) == 1 and "error: " in lines[0]
+    if not err.startswith("usage: "):  # main's own errors: one line
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert _usage_and_one_error(err)
     assert not out.exists()
+
+
+# Generator files: whole or partial serialized groups (conjugated or not), finite-order
+# elements of different groups (which generate infinite groups), bad entries, deep
+# nesting, huge and non-finite numbers, and generators of infinite order.
+
+_FUZZ_TAGS = ["C3", "C7", "D2", "D5", "A4", "S4", "A5"]
+_NUMBER = (st.integers(min_value=-3, max_value=3) | st.floats(-2.0, 2.0) | st.floats()
+           | st.sampled_from([1e300, -1e300, 1e-300, 10**400, 0.0, -0.0]))
+_ENTRY = st.lists(st.lists(_NUMBER, min_size=2, max_size=2), min_size=4, max_size=4)
+
+
+@st.composite
+def _group_entries(draw):
+    """Generators or all elements of a tagged group, moved by a random conjugator or not."""
+    from dessins.finite_groups import conjugate_group, from_type, random_conjugator
+    g = from_type(draw(st.sampled_from(_FUZZ_TAGS)))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        g = conjugate_group(g, random_conjugator(rng, draw(st.floats(1.1, 1e4))))
+    stack = g.stack if draw(st.booleans()) else g.generators
+    return [MoebiusTransform.from_normalized(m).to_entries() for m in stack]
+
+
+@st.composite
+def generator_files(draw):
+    """(kind, file text) of a --generators file."""
+    kind = draw(st.sampled_from(["group", "mixed", "entries", "shape", "nested", "text"]))
+    if kind == "group":
+        entries = draw(_group_entries())
+    elif kind == "mixed":  # the generators of two groups, each finite
+        entries = draw(_group_entries()) + draw(_group_entries())
+        entries = draw(st.permutations(entries))[:draw(st.integers(1, 4))]
+    elif kind == "entries":
+        entries = draw(st.lists(_ENTRY | _JSONISH, max_size=4))
+    elif kind == "shape":
+        entries = draw(_JSONISH)
+    elif kind == "nested":
+        depth = draw(st.integers(1, 3000))
+        inner = json.dumps(draw(_group_entries()) if draw(st.booleans()) else [])
+        return kind, "[" * depth + inner + "]" * depth
+    else:
+        return kind, draw(st.text(max_size=30))
+    if draw(st.booleans()):
+        data = {"type": draw(st.sampled_from(_FUZZ_TAGS) | st.text(max_size=3)),
+                "elements": entries}
+        if draw(st.booleans()):
+            del data[draw(st.sampled_from(["type", "elements"]))]
+        entries = data
+    return kind, json.dumps(entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(generator_files(), st.sampled_from(["average", "conjugate", "hermitian", "orbit"]))
+def test_metric_generator_file_fuzz(tmp_path_factory, case, construction):
+    kind, text = case
+    path = tmp_path_factory.getbasetemp() / "fuzz-generators.json"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path_factory.getbasetemp() / "fuzz-generators.csv"
+    out.unlink(missing_ok=True)
+    code, stdout, err = _run_quietly(["metric", "--generators", str(path), "--construction",
+                                      construction, "--grid", "4", "--out", str(out)])
+    assert code in (0, 2, 3), (code, err)
+    if code == 0:
+        assert err == "" and json.loads(stdout)["grid"]["rows"] == 8  # 4 points in each chart
+        assert out.exists()
+    else:
+        assert stdout == "" and not out.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1

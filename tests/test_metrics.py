@@ -175,18 +175,19 @@ def test_orbit_triple_metric_values():
 
 def test_curvature_reference_values():
     rnd = mt.round_metric()
-    assert abs(mt.curvature(rnd, 0.3 + 0.2j, 1e-3) - 1.0) < 1e-4
+    assert abs(mt.curvature(rnd, 0.3 + 0.2j) - 1.0) < 1e-12
     rot = mt.pullback(mb.MoebiusTransform([[1, 1j], [1j, 1]]), rnd)
-    assert abs(mt.curvature(rot, 0.1 - 0.4j, 1e-3) - 1.0) < 1e-4
+    assert abs(mt.curvature(rot, 0.1 - 0.4j) - 1.0) < 1e-12
+    # the stencil oracle takes any object with rho and rho_at_infinity
     flat = SimpleNamespace(rho=lambda z: np.ones_like(np.asarray(z, complex), dtype=float),
                            rho_at_infinity=lambda u: np.ones_like(np.asarray(u, complex), dtype=float))
-    assert abs(mt.curvature(flat, 0.2 + 0.1j)) < 1e-8
+    assert abs(mt.curvature_samples(flat, "finite", 0.2 + 0.1j)[0]) < 1e-8
 
 
 def test_curvature_chart_switching():
     rnd = mt.round_metric()
-    assert abs(mt.curvature(rnd, 5.0 + 2j) - 1.0) < 1e-4
-    assert abs(mt.curvature(rnd, mb.INFINITY) - 1.0) < 1e-4
+    assert abs(mt.curvature(rnd, 5.0 + 2j) - 1.0) < 1e-12
+    assert abs(mt.curvature(rnd, mb.INFINITY) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("step, coords, message", [
@@ -209,9 +210,7 @@ def test_curvature_stencil_out_of_domain():
     bad = SimpleNamespace(rho=lambda z: np.real(np.asarray(z, complex)),
                           rho_at_infinity=lambda u: np.ones_like(np.asarray(u, complex), dtype=float))
     with pytest.raises(StencilOutOfDomain):
-        mt.curvature(bad, -0.5 + 0j)
-    with pytest.raises(ValueError):
-        mt.curvature(mt.round_metric(), 0.0, step=0.0)
+        mt.curvature_samples(bad, "finite", -0.5 + 0j)
 
 
 # The kernel's closed-form curvature against the finite-difference oracle.
@@ -239,21 +238,56 @@ def _metric_chart_points(draw):
     return build.__name__, build(g), draw(st.sampled_from(mt.CHARTS)), coords
 
 
+def _richardson(metric, chart, coords, h=1e-3):
+    """The stencil's curvature at step h/2, and twice its error bound.
+
+    The stencil at h/2 is off by about (K_h - K_{h/2}) / 3, its O(h^2) error; its rounding
+    is at most 8 eps (1 + |log rho| / 2) / (h^2 rho) at each point.
+    """
+    coarse = mt.curvature_samples(metric, chart, coords, h)
+    vals = mt._stencil_values(metric, chart, coords, h / 2)
+    fine = mt._laplacian_curvature(vals, h / 2)
+    rounding = (8.0 * np.finfo(float).eps * (1.0 + 0.5 * np.abs(np.log(vals)).max(axis=0))
+                / ((h / 2) ** 2 * vals[0]))
+    return fine, 2.0 * (np.abs(coarse - fine) / 3.0 + rounding)
+
+
 @settings(max_examples=250, deadline=None)
 @given(_metric_chart_points())
 def test_exact_curvature_matches_richardson_pair_of_stencils(case):
-    # The stencil at h/2 is off by about (K_h - K_{h/2}) / 3, its O(h^2) error; its rounding
-    # is at most 8 eps (1 + |log rho| / 2) / (h^2 rho) at each point.  The exact value must
-    # lie within twice that of the stencil.
+    # the exact value must lie within twice the stencil's error bound
     name, metric, chart, coords = case
-    rho, exact = _exact_curvature(metric, coords, chart)
-    h = 1e-3
-    coarse = mt.curvature_samples(metric, chart, coords, h)
-    fine = mt.curvature_samples(metric, chart, coords, h / 2)
-    log_rho = np.log(mt._stencil_values(metric, chart, coords, h / 2))
-    rounding = 8.0 * np.finfo(float).eps * (1.0 + 0.5 * np.abs(log_rho).max(axis=0)) / ((h / 2) ** 2 * rho)
-    bound = 2.0 * (np.abs(coarse - fine) / 3.0 + rounding)
+    _, exact = _exact_curvature(metric, coords, chart)
+    fine, bound = _richardson(metric, chart, coords)
     assert np.all(np.abs(exact - fine) <= bound), (name, chart, exact, fine, bound)
+
+
+@pytest.mark.parametrize("build", _BUILDS)
+@pytest.mark.parametrize("conjugated", [False, True])
+def test_curvature_at_a_point_matches_the_stencil_oracle(build, conjugated):
+    # the oracle is given the chart curvature() picks: u = 1/z for |z| > 1 and at infinity
+    g = fg.from_type("S4")
+    if conjugated:
+        g = fg.conjugate_group(g, fg.random_conjugator(np.random.default_rng(29), WIDE_CONDITION))
+    metric = build(g)
+    cases = [(0.3 - 0.2j, "finite", 0.3 - 0.2j), (-1.0 + 0j, "finite", -1.0 + 0j),
+             (2.5 + 1j, "infinity", 1 / (2.5 + 1j)), (-40j, "infinity", 1 / -40j),
+             (mb.INFINITY, "infinity", 0j)]
+    for z, chart, coord in cases:
+        fine, bound = _richardson(metric, chart, coord)
+        assert abs(mt.curvature(metric, z) - fine[0]) <= bound[0], (z, chart)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["D3", "A4", "S4", "A5"]), st.integers(0, 2**32 - 1),
+       st.floats(1.1, 10.0))
+def test_curvature_is_one_on_the_round_and_conjugate_metrics(tag, seed, condition):
+    # conjugators up to condition 10: wider ones lose digits to the cancellation of ROADMAP item 2
+    g = fg.conjugate_group(fg.from_type(tag),
+                           fg.random_conjugator(np.random.default_rng(seed), condition))
+    points = [0j, 0.3 + 0.2j, 1.0, -0.999j, 1.5 - 2j, 1e6j, mb.INFINITY]
+    for metric in (mt.round_metric(), mt.conjugated_metric(g)):
+        assert max(abs(mt.curvature(metric, z) - 1.0) for z in points) <= 1e-12
 
 
 @pytest.mark.parametrize("chart", ["finite", "infinity"])
