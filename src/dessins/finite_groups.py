@@ -110,10 +110,13 @@ def _nearest(signed: np.ndarray, block: np.ndarray) -> np.ndarray:
 def closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteMoebiusGroup:
     """Breadth-first product closure with projective deduplication, one frontier per pass.
 
-    A round's products come from one stacked matmul; blocks of CLOSURE_BLOCK are
-    matched in one call against earlier rounds, the rest in order, as if registered
-    one at a time.  Raises InfiniteGroup past ``cap`` elements, NumericalAmbiguity
-    between the dedup tolerance and ten times it, ValueError where MoebiusTransform would.
+    Round 1 registers the generators; every later frontier is multiplied by the
+    ones it registered, in listed order, so a repeated or identity generator adds
+    no products.  A round's products come from one stacked matmul; blocks of
+    CLOSURE_BLOCK are matched in one call against earlier rounds, the rest in
+    order, as if registered one at a time.  Raises InfiniteGroup past ``cap``
+    elements, NumericalAmbiguity between the dedup tolerance and ten times it,
+    ValueError where MoebiusTransform would.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
@@ -121,7 +124,7 @@ def closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteMoebiusGroup:
     signed[:, 0] = [[1, -1], [0, 0], [0, 0], [1, -1]]
     size = 1
     gens = np.array([MoebiusTransform(g.matrix).matrix for g in generators]).reshape(-1, 2, 2)
-    candidates, error = gens, None
+    candidates, error, factors = gens, None, None
     while True:
         start = size
         for lo in range(0, len(candidates), CLOSURE_BLOCK):
@@ -143,7 +146,9 @@ def closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteMoebiusGroup:
             raise error
         if size == start:
             break
-        products = np.matmul(signed[:, start:size, 0].T.reshape(-1, 1, 2, 2), gens[None])
+        if factors is None:  # the generators round 1 registered: no repeats, no identity
+            factors = signed[:, 1:size, 0].T.reshape(-1, 2, 2)
+        products = np.matmul(signed[:, start:size, 0].T.reshape(-1, 1, 2, 2), factors[None])
         roots = []
         try:
             for row in products.reshape(-1, 4).tolist():

@@ -4,6 +4,12 @@ Each check exercises one numbered contract of the build: exact group
 orders and orbit data, unitarization quality, curvature and invariance of
 the metric constructions, dessin topology against hand-derived and
 brute-force oracles, and the triangle map's geometry.
+
+The checks that use standard groups read them from one table per
+``run_checks`` call, which closes each tag the first time a check asks for
+it (criterion 1 fills it with the groups it closes itself); a check called
+on its own makes its own table.  Criterion 10 still closes A4 twice from
+scratch, since its contract is that two from-scratch runs agree.
 """
 
 from __future__ import annotations
@@ -50,9 +56,16 @@ def _result(criterion: int, name: str, failures: list[str], passed_detail: str) 
                        "; ".join(failures) if failures else passed_detail)
 
 
-def _conjugates(tag: str, rng: np.random.Generator) -> list[FiniteMoebiusGroup]:
-    """The standard group of the tag and 3 conjugates by conjugators up to WIDE_CONDITION."""
-    base = from_type(tag)
+class _StandardGroups(dict):
+    """Standard groups by tag, each closed by ``from_type`` when first looked up."""
+
+    def __missing__(self, tag: str) -> FiniteMoebiusGroup:
+        self[tag] = group = from_type(tag)
+        return group
+
+
+def _conjugates(base: FiniteMoebiusGroup, rng: np.random.Generator) -> list[FiniteMoebiusGroup]:
+    """The group and 3 conjugates by conjugators up to WIDE_CONDITION."""
     return [base] + [conjugate_group(base, random_conjugator(rng, WIDE_CONDITION))
                      for _ in range(3)]
 
@@ -65,7 +78,9 @@ _ORDER_CASES = [("C2", 2), ("C3", 3), ("C5", 5), ("C6", 6),
                 ("A4", 12), ("S4", 24), ("A5", 60)]
 
 
-def check_group_orders(perturb: float | None = None) -> CheckResult:
+def check_group_orders(perturb: float | None = None, *,
+                       groups: _StandardGroups | None = None) -> CheckResult:
+    groups = _StandardGroups() if groups is None else groups
     start = time.perf_counter()
     failures = []
     for tag, expected in _ORDER_CASES:
@@ -79,6 +94,8 @@ def check_group_orders(perturb: float | None = None) -> CheckResult:
         except DessinsError as exc:
             failures.append(f"{tag}: {type(exc).__name__}")
             continue
+        if perturb is None:
+            groups[tag] = g
         if g.order != expected or str(g.type_tag) != tag:
             failures.append(f"{tag}: order {g.order}, tag {g.type_tag}")
     elapsed = time.perf_counter() - start
@@ -92,10 +109,11 @@ _ORBIT_CASES = [("D2", (2, 2, 2)), ("D3", (3, 3, 2)), ("D6", (6, 6, 2)),
                 ("A4", (6, 4, 4)), ("S4", (12, 8, 6)), ("A5", (30, 20, 12))]
 
 
-def check_orbit_signatures() -> CheckResult:
+def check_orbit_signatures(*, groups: _StandardGroups | None = None) -> CheckResult:
+    groups = _StandardGroups() if groups is None else groups
     failures = []
     for tag, expected in _ORBIT_CASES:
-        data = orbit_analysis(from_type(tag))
+        data = orbit_analysis(groups[tag])
         if data.sizes != expected:
             failures.append(f"{tag}: sizes {data.sizes}")
         for orbit in data.orbits:
@@ -104,11 +122,13 @@ def check_orbit_signatures() -> CheckResult:
     return _result(2, "orbit signatures and class formula", failures, "all signatures exact")
 
 
-def check_unitarization(seed: int = 0) -> CheckResult:
+def check_unitarization(seed: int = 0, *,
+                        groups: _StandardGroups | None = None) -> CheckResult:
+    groups = _StandardGroups() if groups is None else groups
     rng = np.random.default_rng(seed)
     failures = []
     for tag in ("D4", "A4", "S4", "A5"):
-        for k, g in enumerate(_conjugates(tag, rng)):
+        for k, g in enumerate(_conjugates(groups[tag], rng)):
             moved = conjugate_group(g, unitarize(g))
             if not is_in_SO3(moved, 1e-8):
                 worst = max(m.unitarity_defect() for m in moved.elements)
@@ -117,14 +137,16 @@ def check_unitarization(seed: int = 0) -> CheckResult:
                    "all conjugates unitarized")
 
 
-def check_well_definedness(seed: int = 0) -> CheckResult:
+def check_well_definedness(seed: int = 0, *,
+                           groups: _StandardGroups | None = None) -> CheckResult:
+    groups = _StandardGroups() if groups is None else groups
     failures = []
     for tag in ("A4", "S4", "D3"):
-        spread = conjugator_well_defined(from_type(tag), trials=3, seed=seed)
+        spread = conjugator_well_defined(groups[tag], trials=3, seed=seed)
         if spread >= 1e-6:
             failures.append(f"{tag}: spread {spread:.2e}")
     try:
-        conjugator_well_defined(from_type("C5"), trials=3, seed=seed)
+        conjugator_well_defined(groups["C5"], trials=3, seed=seed)
         failures.append("C5 did not raise CyclicGroupUnsupported")
     except CyclicGroupUnsupported:
         pass
@@ -186,13 +208,15 @@ def check_dessin_topology(seed: int = 0) -> CheckResult:
 _NON_CYCLIC = ("D2", "D3", "D6", "A4", "S4", "A5")
 
 
-def check_constant_curvature(seed: int = 0) -> CheckResult:
+def check_constant_curvature(seed: int = 0, *,
+                             groups: _StandardGroups | None = None) -> CheckResult:
+    groups = _StandardGroups() if groups is None else groups
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
     failures = []
     for tag in _NON_CYCLIC:
-        for k, g in enumerate(_conjugates(tag, rng)):
+        for k, g in enumerate(_conjugates(groups[tag], rng)):
             curvature = mt.metric_grid_columns(mt.conjugated_metric(g), 40)[4]
             err = float(np.abs(curvature - 1.0).max())
             worst = max(worst, err)
@@ -205,13 +229,15 @@ def check_constant_curvature(seed: int = 0) -> CheckResult:
                    f"worst |K-1| = {worst:.2e} < {CURVATURE_TOL:.0e} in {elapsed:.2f}s")
 
 
-def check_invariance(seed: int = 0) -> CheckResult:
+def check_invariance(seed: int = 0, *,
+                     groups: _StandardGroups | None = None) -> CheckResult:
+    groups = _StandardGroups() if groups is None else groups
     rng = np.random.default_rng(seed)
     failures = []
     worst = {"average": 0.0, "hermitian": 0.0, "conjugate": 0.0}
     cases: list[tuple[str, FiniteMoebiusGroup]] = [
-        (tag, from_type(tag)) for tag in ("C5", "C6", "D3", "D6", "A4", "S4", "A5")]
-    cases += [(f"{tag}~conj", conjugate_group(from_type(tag),
+        (tag, groups[tag]) for tag in ("C5", "C6", "D3", "D6", "A4", "S4", "A5")]
+    cases += [(f"{tag}~conj", conjugate_group(groups[tag],
                                               random_conjugator(rng, WIDE_CONDITION)))
               for tag in ("D3", "A4", "S4")]
     for name, g in cases:
@@ -232,11 +258,12 @@ def check_invariance(seed: int = 0) -> CheckResult:
                    "worst defects: " + ", ".join(f"{k} {v:.1e}" for k, v in worst.items()))
 
 
-def check_so3_coincidence() -> CheckResult:
+def check_so3_coincidence(*, groups: _StandardGroups | None = None) -> CheckResult:
+    groups = _StandardGroups() if groups is None else groups
     rnd = mt.round_metric()
     failures = []
     for tag in ("C6", "D3", "D6", "A4", "S4", "A5"):
-        g = from_type(tag)
+        g = groups[tag]
         if not is_in_SO3(g, 1e-10):
             failures.append(f"{tag}: standard group not unitary")
             continue
@@ -344,15 +371,17 @@ def check_triangle_map() -> CheckResult:
 
 def run_checks(scope: str = "all", seed: int = 0,
                perturb: float | None = None) -> list[CheckResult]:
+    # one table for the run; each check is looked up by name when this call runs it
+    groups = _StandardGroups()
     scopes = {
-        "groups": [lambda: check_group_orders(perturb),
-                   check_orbit_signatures,
-                   lambda: check_unitarization(seed),
-                   lambda: check_well_definedness(seed),
+        "groups": [lambda: check_group_orders(perturb, groups=groups),
+                   lambda: check_orbit_signatures(groups=groups),
+                   lambda: check_unitarization(seed, groups=groups),
+                   lambda: check_well_definedness(seed, groups=groups),
                    lambda: check_dessin_topology(seed)],
-        "metrics": [lambda: check_constant_curvature(seed),
-                    lambda: check_invariance(seed),
-                    check_so3_coincidence,
+        "metrics": [lambda: check_constant_curvature(seed, groups=groups),
+                    lambda: check_invariance(seed, groups=groups),
+                    lambda: check_so3_coincidence(groups=groups),
                     check_grid_determinism],
         "sc": [check_triangle_map],
     }

@@ -114,3 +114,41 @@ def test_failure_details_join_into_one_line_with_an_overrun_as_one_entry(monkeyp
     assert not result.passed and failures[0] == "C2: InfiniteGroup"
     assert failures[-1] == "elapsed 11.00s >= 10s"
     assert result.line().count("\n") == 0
+
+
+def _count_closures(monkeypatch):
+    """Count closures made through verification: criterion 1 calls closure, the rest from_type."""
+    calls = []
+    for name in ("closure", "from_type"):
+        def counted(*args, _fn=getattr(vf, name), **kwargs):
+            calls.append(args[0])
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(vf, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("scope, closures", [("groups", 11), ("metrics", 10), ("all", 13)])
+def test_run_checks_closes_each_standard_group_once(scope, closures, monkeypatch):
+    # one table per run; criterion 10 still closes A4 twice from scratch
+    calls = _count_closures(monkeypatch)
+    results = vf.run_checks(scope)
+    assert all(r.passed for r in results)
+    assert len(calls) == closures
+    if scope != "groups":
+        assert calls[-2:] == ["A4", "A4"]  # criterion 10 runs last of the metrics scope
+
+
+def test_run_checks_starts_each_run_with_an_empty_table(monkeypatch):
+    calls = _count_closures(monkeypatch)
+    vf.run_checks("groups")
+    vf.run_checks("groups")
+    assert len(calls) == 22
+
+
+def test_perturbed_groups_never_enter_the_table(monkeypatch):
+    # criterion 1 closes 10 perturbed sets; the others close D2, D3, D6, A4, S4, A5, D4, C5
+    calls = _count_closures(monkeypatch)
+    results = vf.run_checks("groups", perturb=1.01)
+    assert [(r.criterion, r.passed) for r in results] == [
+        (1, False), (2, True), (3, True), (6, True), (8, True)]
+    assert len(calls) == 18

@@ -262,7 +262,16 @@ def test_verify_sc_scope(capsys):
 
 def test_verify_perturbation_hook_fails(capsys):
     assert main(["verify", "groups", "--perturb", "1.001"]) == 1
-    assert "[FAIL]" in capsys.readouterr().out
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
+    assert len(failed) == 1 and failed[0].startswith("[FAIL] criterion 1:")
+
+
+def test_verify_all(capsys):
+    assert main(["verify", "all"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == [
+        f"[PASS] criterion {k}" for k in (1, 2, 3, 6, 8, 4, 5, 7, 10, 9)]
+    assert lines[-1] == "10/10 checks passed"
 
 
 def test_sc_demo(capsys):

@@ -443,6 +443,39 @@ def test_closure_raises_at_the_overflowing_product_in_order():
     assert outcomes[2] == outcomes[3] == (ValueError, "matrix determinant overflows")
 
 
+@pytest.mark.parametrize("tag", ["C1", "C7", "C60", "D2", "D15", "A4", "S4", "A5"])
+def test_closure_of_repeated_generators_matches_the_list_once(tag):
+    # products are formed with the distinct generators only, so repeats and the
+    # identity change no byte; the generators keep every listed entry
+    identity = mb.MoebiusTransform(np.eye(2))
+    for gens in [mb.standard_generators(parse_group_tag(tag)), *_conjugated_generators(tag, 2)]:
+        for listed in (gens, _serialized(fg.closure(gens)), [identity, *gens, identity]):
+            once, thrice = fg.closure(listed), fg.closure(listed * 3)
+            assert thrice.stack.tobytes() == once.stack.tobytes()
+            assert str(thrice.type_tag) == str(once.type_tag) == tag
+            assert thrice.generators.tobytes() == np.concatenate([once.generators] * 3).tobytes()
+
+
+def test_closure_of_a_repeated_infinite_pair_forms_the_products_of_the_pair(monkeypatch):
+    # z -> -z and z -> -z + 2 generate an infinite dihedral group
+    pair = [mb.MoebiusTransform([[1j, 0], [0, -1j]]), mb.MoebiusTransform([[1j, 2j], [0, -1j]])]
+    rows = []
+
+    def counted(*row):  # called once per product formed
+        rows.append(row)
+        return mb.normalizing_root(*row)
+
+    monkeypatch.setattr(fg, "normalizing_root", counted)
+    outcomes = []
+    for copies in (1, 20):
+        rows.clear()
+        with pytest.raises(InfiniteGroup) as info:
+            fg.closure(pair * copies, 300)
+        outcomes.append((str(info.value), len(rows)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == "closure exceeded 300 elements" and outcomes[0][1] > 0
+
+
 @pytest.mark.parametrize("cap", [1, 120, 200])
 def test_element_orders_match_full_power_walk(cap):
     rng = np.random.default_rng(cap)
@@ -540,7 +573,8 @@ def test_element_orders_match_power_walk_oracle(parts, cap):
 
 
 def test_closure_memory_is_bounded_on_a_serialized_a5():
-    # 60 generators: round 2 has 3540 products, compared in blocks of CLOSURE_BLOCK;
+    # 60 generators, 59 of them registered in round 1: round 2 has 59 x 59 = 3481
+    # products, compared in blocks of CLOSURE_BLOCK;
     # compared all at once against the stack they would need about 40 MB
     (gens,) = _conjugated_generators("A5", 1)
     elements = _serialized(fg.closure(gens))
