@@ -59,23 +59,39 @@ def _write_text(path: str, text: str) -> None:
         raise MalformedInput(f"cannot write {path}: {exc}") from exc
 
 
+def _dessin_summary(d: dd.Dessin) -> dict:
+    """Genus, passport and automorphism group of a dessin, as the metric report lists them."""
+    p = dd.passport(d)
+    aut = dd.automorphisms(d)
+    return {
+        "darts": d.dart_count,
+        "genus": dd.genus(d),
+        "passport": {"degree": p.degree,
+                     "white": list(p.white_degrees),
+                     "black": list(p.black_degrees),
+                     "faces": list(p.face_half_degrees)},
+        "automorphism_order": aut.order,
+        "automorphism_type": str(dd.classify_perm_group(aut)),
+    }
+
+
 def cmd_info(args) -> int:
     d = dd.parse_dessin(_read_text(args.path))
-    g = dd.genus(d)
-    p = dd.passport(d)
+    summary = _dessin_summary(d)
+    g, p = summary["genus"], summary["passport"]
     tri = dd.triangulate(d)
-    aut = dd.automorphisms(d)
 
     def fmt(ms):
         return "[" + ",".join(str(x) for x in ms) + "]"
 
-    print(f"darts: {d.dart_count}")
+    print(f"darts: {summary['darts']}")
     print(f"genus: {g}")
-    print(f"passport: degree {p.degree}; white {fmt(p.white_degrees)}; "
-          f"black {fmt(p.black_degrees)}; faces {fmt(p.face_half_degrees)}")
+    print(f"passport: degree {p['degree']}; white {fmt(p['white'])}; "
+          f"black {fmt(p['black'])}; faces {fmt(p['faces'])}")
     print(f"triangulation: {tri.triangle_count} triangles, "
           f"{tri.butterfly_count} butterflies")
-    print(f"automorphisms: order {aut.order}, type {dd.classify_perm_group(aut)}")
+    print(f"automorphisms: order {summary['automorphism_order']}, "
+          f"type {summary['automorphism_type']}")
     if g != 0:
         print(f"note: genus {g} surface; the genus-0 metric constructions "
               "(average/conjugate/hermitian/orbit) do not apply")
@@ -90,18 +106,7 @@ def _load_group(args):
         g = dd.genus(d)
         if g != 0:
             raise GenusMismatch(f"dessin has genus {g}; metrics need genus 0")
-        p = dd.passport(d)
-        aut = dd.automorphisms(d)
-        summary = {
-            "darts": d.dart_count,
-            "genus": g,
-            "passport": {"degree": p.degree,
-                         "white": list(p.white_degrees),
-                         "black": list(p.black_degrees),
-                         "faces": list(p.face_half_degrees)},
-            "automorphism_order": aut.order,
-            "automorphism_type": str(dd.classify_perm_group(aut)),
-        }
+        summary = _dessin_summary(d)
     cap = DEFAULT_CLOSURE_CAP
     if args.group:
         gens = standard_generators(parse_group_tag(args.group))
@@ -116,8 +121,9 @@ def _load_group(args):
         if not isinstance(entries, list):
             raise MalformedInput("generators must be a list, or an object whose 'elements' is one")
         gens = [MoebiusTransform.from_entries(e) for e in entries]
-        # a serialized group lists all its elements, so it closes within their count
-        cap = max(DEFAULT_CLOSURE_CAP, len(entries))
+        # closure registers a repeated entry once, so a serialized group closes
+        # within its distinct entries and the identity
+        cap = max(DEFAULT_CLOSURE_CAP, len({m.matrix.tobytes() for m in gens}) + 1)
         orders = element_orders(np.array([m.matrix for m in gens]).reshape(-1, 2, 2), cap)
         if not orders.all():
             raise MalformedInput(f"generator {int(np.argmin(orders)) + 1} has no finite "

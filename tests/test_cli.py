@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -83,7 +84,12 @@ def test_metric_cyclic_average_succeeds(tmp_path):
                  "--grid", "8", "--out", str(out)]) == 0
 
 
-def test_metric_genus_one_dessin_exit_4(torus_file, tmp_path):
+def test_metric_genus_one_dessin_exit_4(torus_file, tmp_path, monkeypatch):
+    # the genus is checked before the automorphism group is computed
+    def automorphisms(d):
+        raise AssertionError("automorphisms of a genus-1 dessin")
+
+    monkeypatch.setattr(cli.dd, "automorphisms", automorphisms)
     out = tmp_path / "g.csv"
     assert main(["metric", torus_file, "--group", "C4",
                  "--grid", "8", "--out", str(out)]) == 4
@@ -147,13 +153,67 @@ def test_metric_closes_serialized_group_above_the_default_cap(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["group"] == {"order": 202, "type": "D101"}
 
 
+def _shift_flip(k):
+    """Entries of z -> -z + 2k, an involution."""
+    return [[-1, 0], [2 * k, 0], [0, 0], [1, 0]]
+
+
 def test_metric_generator_list_above_the_order_cap_exit_2(tmp_path):
+    # 14012 distinct entries give a closure cap of 14013, past the order cap
     path = tmp_path / "long.json"
-    path.write_text(json.dumps([[[1, 0], [0, 0], [0, 0], [1, 0]]] * 14013))
+    path.write_text(json.dumps([_shift_flip(k) for k in range(14012)]))
     code, _, err = _run_quietly(["metric", "--generators", str(path), "--grid", "8",
                                  "--out", str(tmp_path / "g.csv")])
     assert code == 2
     assert err == "error: invalid input: cap must be from 1 to 14012, got 14013\n"
+
+
+def test_metric_repeated_generator_pair_closes_at_the_default_cap(tmp_path):
+    # the two distinct entries set the cap, not the 14012 listed ones
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps([_shift_flip(0), _shift_flip(1)] * 7006))
+    start = time.perf_counter()
+    code, _, err = _run_quietly(["metric", "--generators", str(path), "--grid", "8",
+                                 "--out", str(tmp_path / "g.csv")])
+    assert time.perf_counter() - start < 10.0
+    assert code == 2
+    assert err == ("error: MalformedInput: the generators do not close: "
+                   "closure exceeded 200 elements\n")
+
+
+def test_metric_generator_index_counts_file_entries(tmp_path):
+    # repeats count once for the cap only; an element-order failure names its entry
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps([_shift_flip(0)] * 3 + [[[1, 0], [1, 0], [0, 0], [1, 0]]]))
+    code, _, err = _run_quietly(["metric", "--generators", str(path), "--grid", "8",
+                                 "--out", str(tmp_path / "g.csv")])
+    assert code == 2
+    assert err == "error: MalformedInput: generator 4 has no finite order up to 200\n"
+
+
+def test_metric_group_keeps_every_listed_generator(tmp_path):
+    # repeats set no cap of their own, and the group still lists each entry
+    path = tmp_path / "gens.json"
+    listed = [m.to_entries() for m in standard_generators(parse_group_tag("D3"))] * 3
+    path.write_text(json.dumps(listed))
+    group, _, _ = cli._load_group(build_parser().parse_args(["metric", "--generators", str(path)]))
+    assert group.type_tag == parse_group_tag("D3")
+    assert group.generators.shape == (len(listed), 2, 2)
+
+
+def test_metric_closes_serialized_group_without_its_identity(tmp_path, capsys):
+    # 201 entries: the identity closure registers first needs one more place
+    from dessins.finite_groups import closure
+    data = closure(standard_generators(parse_group_tag("D101")), cap=300).to_json()
+    identity = MoebiusTransform(np.eye(2)).to_entries()
+    data["elements"].remove(identity)
+    assert len(data["elements"]) == 201
+    path = tmp_path / "d101.json"
+    path.write_text(json.dumps(data))
+    code = main(["metric", "--generators", str(path), "--construction", "average",
+                 "--grid", "8", "--out", str(tmp_path / "d101.csv")])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["group"] == {"order": 202, "type": "D101"}
 
 
 def test_metric_generator_object_without_elements_exit_2(tmp_path):

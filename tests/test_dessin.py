@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -395,6 +396,35 @@ def _random_transitive(n, rng):
             return sw, sb
 
 
+def _cyclic_cover(base, p, rng):
+    """The second connected p-fold cyclic voltage cover of a random dessin on ``base`` darts.
+
+    The base's white rotation is a fixed-point-free involution and its black
+    rotation is made of 3-cycles; dart (x, i) is x * p + i, and a rotation
+    sends it to (sigma(x), i + v(x)), the voltages v drawn from Z_p so that
+    every lifted cycle keeps its length.  Shifting i is an automorphism.
+    With p = 1 the cover is the random dessin itself, whose group is usually
+    trivial.
+    """
+    found = 0
+    while True:
+        pairs = rng.permutation(base).reshape(-1, 2)
+        triples = rng.permutation(base).reshape(-1, 3)
+        vw, vb = rng.integers(0, p, base).tolist(), rng.integers(0, p, base).tolist()
+        sw, sb, aw, ab = [0] * base, [0] * base, [0] * base, [0] * base
+        for x, y in pairs.tolist():
+            sw[x], sw[y], aw[x], aw[y] = y, x, vw[x], -vw[x]
+        for x, y, z in triples.tolist():
+            sb[x], sb[y], sb[z] = y, z, x
+            ab[x], ab[y], ab[z] = vb[x], vb[y], -vb[x] - vb[y]
+        lifted = tuple(tuple(s[x] * p + (i + a[x]) % p for x in range(base) for i in range(p))
+                       for s, a in ((sw, aw), (sb, ab)))
+        if perms.is_transitive(lifted, base * p):
+            found += 1
+            if found == 2:
+                return lifted
+
+
 @st.composite
 def small_dessins(draw):
     n = draw(st.integers(min_value=1, max_value=12))
@@ -419,7 +449,7 @@ def test_automorphisms_and_classification_match_oracle_small(d):
 
 @pytest.mark.parametrize("kind, size", [
     ("star", 150), ("cyclic", 150), ("dihedral", 150), ("abelian", (6, 4)),
-    ("abelian", (2, 2)), ("random", 150), ("random", 300),
+    ("abelian", (2, 2)), ("random", 150), ("random", 300), ("cover", (12, 53)),
 ])
 def test_automorphisms_and_classification_match_oracle_large(kind, size):
     rng = np.random.default_rng(17)
@@ -431,6 +461,8 @@ def test_automorphisms_and_classification_match_oracle_large(kind, size):
         sw, sb = _dihedral_regular(size)
     elif kind == "abelian":
         sw, sb = _abelian_regular(*size)
+    elif kind == "cover":
+        sw, sb = _cyclic_cover(*size, np.random.default_rng(5))
     else:
         sw, sb = _random_transitive(size, rng)
     d = _relabel(sw, sb, rng)
@@ -441,6 +473,12 @@ def test_automorphisms_and_classification_match_oracle_large(kind, size):
         assert dd.classify_perm_group(aut) == GroupType.dihedral(size)
     elif kind == "abelian":
         assert aut.order == size[0] * size[1]
+    elif kind == "cover":
+        # 530 candidates die down to the 53 shifts of the cover, so dropped
+        # candidates are compacted away on a 636-row table
+        like = [dd._darts_like_dart_0(c, d.dart_count) for c in d.cycles]
+        assert np.count_nonzero(np.logical_and.reduce(like)) == 530
+        assert dd.classify_perm_group(aut) == GroupType.cyclic(size[1])
 
 
 def test_classify_exceptional_groups_matches_oracle():
@@ -475,6 +513,59 @@ def test_group_stack_is_read_only():
         aut.stack[0, 0] = 1
     with pytest.raises(AttributeError):
         aut.stack = np.zeros((1, 4), dtype=np.int32)
+
+
+def _traced_automorphisms(d):
+    tracemalloc.start()
+    try:
+        aut = dd.automorphisms(d)
+        return aut, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_automorphisms_peak_stays_near_the_output_when_every_dart_is_a_candidate():
+    # the rows are moved into dart order in place; a second copy of the
+    # table, such as a gather into dart order, would double the peak
+    d = _relabel(*_dihedral_regular(400), np.random.default_rng(17))
+    aut, peak = _traced_automorphisms(d)
+    assert aut.order == d.dart_count == 800
+    assert peak <= 1.25 * aut.stack.nbytes
+
+
+def _rows_walked_until_the_last_false_candidate_dies(d, candidates):
+    """Darts the breadth-first walk of dart 0 has reached when the last candidate but dart 0 fails."""
+    rotations = (d.sigma_white, d.sigma_black)
+    rows = 0
+    for c in candidates[1:]:
+        image, walk = {0: c}, [0]
+        for dart in walk:
+            for sigma in rotations:
+                e, f = sigma[dart], sigma[image[dart]]
+                if image.setdefault(e, f) != f:
+                    break
+                if len(image) > len(walk):
+                    walk.append(e)
+            else:
+                continue
+            break
+        else:
+            raise AssertionError(f"candidate {c} is an automorphism")
+        rows = max(rows, len(walk))
+    return rows
+
+
+def test_automorphisms_peak_follows_the_darts_walked_when_the_group_is_trivial():
+    # 1066 candidates all but the identity die within a few hundred walk
+    # steps; the table holds only the rows walked, never one row per dart
+    d = dd.Dessin(3000, *_cyclic_cover(3000, 1, np.random.default_rng(5)))
+    like = [dd._darts_like_dart_0(c, d.dart_count) for c in d.cycles]
+    candidates = np.flatnonzero(np.logical_and.reduce(like)).tolist()
+    rows = _rows_walked_until_the_last_false_candidate_dies(d, candidates)
+    aut, peak = _traced_automorphisms(d)
+    assert aut.order == 1
+    assert len(candidates) == 1066 and rows < d.dart_count // 10
+    assert peak <= 4 * rows * len(candidates) * 4
 
 
 def test_info_on_1000_dart_star_is_fast(tmp_path, capsys):
