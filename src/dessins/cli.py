@@ -111,10 +111,7 @@ def _load_group(args):
     if args.group:
         gens = standard_generators(parse_group_tag(args.group))
     elif args.generators:
-        try:
-            data = json.loads(_read_text(args.generators))
-        except RecursionError as exc:
-            raise MalformedInput("invalid JSON: nested too deeply") from exc
+        data = dd.load_json(_read_text(args.generators))
         if isinstance(data, dict) and "elements" not in data:
             raise MalformedInput("generator object has no 'elements' list")
         entries = data["elements"] if isinstance(data, dict) else data
@@ -267,10 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_metric = sub.add_parser("metric", help="build and sample a canonical metric")
     p_metric.add_argument("path", nargs="?", default=None,
                           help="optional dessin file (genus 0 required)")
-    p_metric.add_argument("--group", default=None,
-                          help="group type tag, e.g. C5, D3, A4, S4, A5")
-    p_metric.add_argument("--generators", default=None,
-                          help="JSON file with generator matrices")
+    realization = p_metric.add_mutually_exclusive_group()
+    realization.add_argument("--group", default=None,
+                             help="group type tag, e.g. C5, D3, A4, S4, A5")
+    realization.add_argument("--generators", default=None,
+                             help="JSON file with generator matrices")
     p_metric.add_argument("--construction", default="conjugate",
                           choices=sorted(_CONSTRUCTIONS))
     p_metric.add_argument("--grid", type=_int_at_least(3), default=40, metavar="N",

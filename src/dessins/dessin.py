@@ -105,6 +105,14 @@ class PermGroup:
         return f"PermGroup(order={self.order}, darts={self.stack.shape[1]})"
 
 
+def load_json(text: str):
+    """json.loads of text; text that is not JSON, or nests too deeply to parse, is MalformedInput."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise MalformedInput(f"invalid JSON: {exc}") from exc
+
+
 def parse_dessin(text: str) -> Dessin:
     """Parse the JSON dessin format.
 
@@ -112,12 +120,7 @@ def parse_dessin(text: str) -> Dessin:
     "sigma_black": [[...], ...]}`` with 1-based dart labels written in
     disjoint cycles; darts missing from every cycle are fixed.
     """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"invalid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise MalformedInput("invalid JSON: nested too deeply") from exc
+    data = load_json(text)
     if not isinstance(data, dict):
         raise MalformedInput("top-level value must be an object")
     for key in ("darts", "sigma_white", "sigma_black"):

@@ -450,7 +450,6 @@ def metric_grid_rows(g: ConformalMetric, n: int = 40, step=None):
 
 
 GRID_HEADER = "re,im,chart,rho,curvature"
-_JSON_ROW = ' {\n  "chart": %s,\n  "curvature": %s,\n  "im": %s,\n  "re": %s,\n  "rho": %s\n }'
 
 
 def json_float(x) -> str:
@@ -458,18 +457,18 @@ def json_float(x) -> str:
     return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
 
 
-def _column_texts(col, json: bool = False) -> list[str]:
-    """The floats of a column as CSV (17 digits) or JSON text (``%r`` is float.__repr__).
+def _column_texts(col, json: bool = False, key: str = "") -> list[str]:
+    """The floats of a column as CSV (17 digits) or JSON text (``%r`` is float.__repr__), led by key.
 
     Each distinct 64-bit pattern is formatted once; keying on bits keeps 0.0 and -0.0 apart.
     """
     bits, inverse = np.unique(np.asarray(col, dtype=float).view(np.int64), return_inverse=True)
     values = bits.view(float)
-    texts = ("%r," if json else "%.17g,") * len(values) % tuple(values.tolist())
-    texts = np.array(texts.split(",")[:-1], dtype=object)
+    texts = (key + ("%r\0" if json else "%.17g\0")) * len(values) % tuple(values.tolist())
+    texts = np.array(texts.split("\0")[:-1], dtype=object)
     if json:
         odd = ~np.isfinite(values)
-        texts[odd] = [json_float(x) for x in values[odd].tolist()]
+        texts[odd] = [key + json_float(x) for x in values[odd].tolist()]
     return texts[inverse].tolist()
 
 
@@ -485,10 +484,10 @@ def format_columns_json(columns) -> str:
     re_, im_, chart, rho, curv = columns
     if not len(chart):
         return "[]\n"
-    names = {name: encode_basestring_ascii(name) for name in set(chart)}
-    texts = [_column_texts(col, json=True) for col in (curv, im_, re_, rho)]  # sorted keys
-    rows = map(_JSON_ROW.__mod__, zip(map(names.__getitem__, chart), *texts))
-    return "[\n" + ",\n".join(rows) + "\n]\n"
+    names = {name: ' {\n  "chart": ' + encode_basestring_ascii(name) for name in set(chart)}
+    keyed = zip(("curvature", "im", "re", "rho"), (curv, im_, re_, rho))  # sorted keys
+    texts = [_column_texts(col, json=True, key=f',\n  "{key}": ') for key, col in keyed]
+    return "[\n" + "\n },\n".join(map("".join, zip(map(names.__getitem__, chart), *texts))) + "\n }\n]\n"
 
 
 def format_grid_csv(rows) -> str:

@@ -99,6 +99,16 @@ def test_metric_requires_group_spec(equator_file):
     assert main(["metric", equator_file, "--grid", "8"]) == 2
 
 
+def test_metric_group_and_generators_exclude_each_other(tmp_path):
+    gens = tmp_path / "bad.json"
+    gens.write_text("not json")
+    out = tmp_path / "g.csv"
+    code, stdout, err = _run_quietly(["metric", "--group", "D3", "--generators", str(gens),
+                                      "--grid", "8", "--out", str(out)])
+    assert code == 2 and stdout == "" and not out.exists()
+    assert _usage_and_one_error(err) and "not allowed with argument" in err
+
+
 def test_metric_dessin_with_group(equator_file, tmp_path, capsys):
     out = tmp_path / "eq.csv"
     code = main(["metric", equator_file, "--group", "C2",
@@ -590,15 +600,21 @@ def test_metric_non_finite_determinant_one_line(tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("flag", ["info", "generators"])
-def test_deeply_nested_json_exit_2(flag, tmp_path):
-    path = tmp_path / "deep.json"
-    path.write_text("[" * 100000)
-    argv = (["info", str(path)] if flag == "info"
-            else ["metric", "--generators", str(path), "--grid", "8"])
-    code, _, err = _run_quietly(argv)
-    assert code == 2
-    assert err.startswith("error: MalformedInput: ") and err.count("\n") == 1
+@pytest.mark.parametrize("text", [pytest.param("not json", id="not-json"),
+                                  pytest.param("[" * 200000, id="nested")])
+@pytest.mark.parametrize("command", ["info", "metric", "generators"])
+def test_json_input_file_errors_share_one_contract(command, text, tmp_path):
+    # a dessin file and a generator file are decoded by the same wrapper; text nested
+    # too deeply for the parser is rejected like text that is not JSON
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    grid = ["--grid", "8", "--out", str(tmp_path / "g.csv")]
+    code, out, err = _run_quietly({"info": ["info", str(path)],
+                                   "metric": ["metric", str(path), "--group", "D3", *grid],
+                                   "generators": ["metric", "--generators", str(path), *grid],
+                                   }[command])
+    assert code == 2 and out == ""
+    assert err.startswith("error: MalformedInput: invalid JSON: ") and err.count("\n") == 1
 
 
 def test_info_huge_dart_count_without_labels_exit_2(tmp_path):

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -495,6 +496,25 @@ def test_grid_writers_match_oracles_on_symmetric_grid():
     rows, columns = _grid_rows_and_columns(mt.conjugated_metric(fg.from_type("D6")), 200)
     assert len(np.unique(columns[3])) < 0.1 * len(rows)
     _assert_writers_match_oracles(rows, columns)
+
+
+@pytest.mark.parametrize("writer", [mt.format_columns_csv, mt.format_columns_json])
+def test_grid_writer_peak_memory_within_three_times_its_text(writer):
+    # the conjugate D6 grid at n=200 (62128 rows): each writer peaks near 2.6 times its
+    # text; keeping the row tuples, or the row texts past their join, peaks at 3.2 or 3.6.
+    # The guard catches only those: an (n, 11) object table of template pieces and column
+    # texts peaks at 2.63, near the writers, so no bound tells it apart
+    columns = mt.metric_grid_columns(mt.conjugated_metric(fg.from_type("D6")), 200)
+    assert len(columns[0]) == 62128
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        text = writer(columns)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(text)
 
 
 def test_grid_writers_match_oracles_on_edge_rows():
