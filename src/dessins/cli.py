@@ -79,7 +79,6 @@ def cmd_info(args) -> int:
     d = dd.parse_dessin(_read_text(args.path))
     summary = _dessin_summary(d)
     g, p = summary["genus"], summary["passport"]
-    tri = dd.triangulate(d)
 
     def fmt(ms):
         return "[" + ",".join(str(x) for x in ms) + "]"
@@ -88,8 +87,8 @@ def cmd_info(args) -> int:
     print(f"genus: {g}")
     print(f"passport: degree {p['degree']}; white {fmt(p['white'])}; "
           f"black {fmt(p['black'])}; faces {fmt(p['faces'])}")
-    print(f"triangulation: {tri.triangle_count} triangles, "
-          f"{tri.butterfly_count} butterflies")
+    # every dart carries two triangles and one butterfly (see dd.triangulate)
+    print(f"triangulation: {2 * d.dart_count} triangles, {d.dart_count} butterflies")
     print(f"automorphisms: order {summary['automorphism_order']}, "
           f"type {summary['automorphism_type']}")
     if g != 0:

@@ -227,40 +227,58 @@ def automorphisms(d: Dessin) -> PermGroup:
     whose white, black and face cycles are as long as those through dart
     0.  All candidates are propagated at once along a breadth-first walk
     of dart 0: an edge to a new dart is one gather giving a new row of
-    images, an edge to a dart already reached is one comparison that
-    drops candidates.  Dropped candidates are compacted away once they
-    outnumber the kept ones, and the walk stops when only the identity
-    is left, so the rows grow beyond the output stack only while false
-    candidates are still dying.
+    images, and edges to darts already reached are queued and compared in
+    bulk before the rows grow, at the end, and, while too many candidates
+    live to be the group (whose order divides n), once the queue holds a
+    sixteenth of the rows.  Failed candidates are compacted away once they
+    outnumber the kept ones, and the walk stops when only the identity is
+    left, so the rows outgrow the output only while candidates are dying.
     """
     n = d.dart_count
     sigmas = (d.sigma_white, d.sigma_black)
-    rotations = tuple(np.array(s) for s in sigmas)
+    rotations = tuple(np.array(s, dtype=np.int32) for s in sigmas)
     candidates = np.flatnonzero(np.logical_and.reduce([_darts_like_dart_0(c, n)
                                                        for c in d.cycles]))
     images = np.array([candidates], dtype=np.int32)  # row r: images of walk[r]
     alive = np.ones(len(candidates), dtype=bool)
+    live = len(candidates)
+    edges = ([], [])  # per rotation: (row, target row) of edges to reached darts, unchecked
     rank = [-1] * n
     rank[0] = 0
     walk = [0]
+
+    def check_queued() -> bool:
+        """Check the queued edges, about 2**14 images at a time, and compact; True if one is left."""
+        nonlocal images, alive, live
+        step = max(1, 2**14 // len(alive))
+        for rotation, queue in zip(rotations, edges):
+            for k in range(0, len(queue), step):
+                rows, targets = np.array(queue[k:k + step], dtype=np.intp).T
+                alive &= (rotation[images[rows]] == images[targets]).all(axis=0)
+            queue.clear()
+        live = np.count_nonzero(alive)
+        if 2 * live < len(alive):
+            images = images[:len(walk)].compress(alive, axis=1)
+            alive = alive[alive]
+        return live == 1
+
     for dart in walk:  # the walk grows while it is read
-        for rotation, sigma in zip(rotations, sigmas):
-            image = rotation[images[rank[dart]]]
+        for rotation, sigma, queue in zip(rotations, sigmas, edges):
             e = sigma[dart]
             if rank[e] >= 0:
-                alive &= image == images[rank[e]]
-                live = np.count_nonzero(alive)
-                if live == 1:  # only the identity
+                queue.append((rank[dart], rank[e]))
+                if (n % live and 16 * (len(edges[0]) + len(edges[1])) >= len(walk)
+                        and check_queued()):
                     return PermGroup(np.arange(n)[None])
-                if 2 * live < len(alive):
-                    images = images[:len(walk)].compress(alive, axis=1)
-                    alive = alive[alive]
                 continue
+            if len(images) == len(walk):
+                if check_queued():  # the identity
+                    return PermGroup(np.arange(n)[None])
+                images.resize((min(2 * len(images), n), images.shape[1]), refcheck=False)
             rank[e] = len(walk)
             walk.append(e)
-            if len(images) < len(walk):
-                images.resize((min(2 * len(images), n), images.shape[1]), refcheck=False)
-            images[rank[e]] = image
+            images[rank[e]] = rotation[images[rank[dart]]]
+    check_queued()
     if not alive.all():
         images = images.compress(alive, axis=1)
     _move_rows(images, walk)
@@ -300,31 +318,54 @@ def brute_force_automorphisms(d: Dessin) -> PermGroup:
 
 
 def _element_orders(stack: np.ndarray) -> np.ndarray:
-    """Order of each element: the length of its cycle through dart 0.
+    """Order of each element of a group acting freely on dart 0, by prime-power descent.
 
-    Valid when no two elements send dart 0 to the same dart: then g^k
-    fixes dart 0 only when g^k is the identity.  One power walk of all
-    elements; an element leaves the walk when dart 0 comes back.
+    Elements are indexed by their image of dart 0, where a∘b sends it
+    where a sends b's image.  For each p^e exactly dividing the order m,
+    all elements are raised to the power m / p^e by squaring and then to
+    p-th powers until the identity.  A stack that these products show is
+    not a group raises ValueError.
     """
-    orders = np.empty(len(stack), dtype=np.int64)
-    todo = np.arange(len(stack))
-    point = stack[:, 0]
-    step = 1
-    while len(todo):
-        back = point == 0
-        orders[todo[back]] = step
-        todo = todo[~back]
-        point = stack[todo, point[~back]]
-        step += 1
+    m = len(stack)
+    where = np.full(stack.shape[1], -1, dtype=np.intp)
+    where[stack[:, 0]] = np.arange(m)
+    identity = where[0]
+    if identity < 0:
+        raise ValueError("not a group: no element fixes dart 0")
+
+    def power(a, k):
+        result = a
+        for bit in bin(k)[3:]:
+            for factor in (result, a)[:1 + int(bit)]:  # square, then times a on a 1 bit
+                result = where[stack[result, stack[factor, 0]]]
+                if (result < 0).any():
+                    raise ValueError("not a group: a product sends dart 0 outside the images")
+        return result
+
+    orders = np.ones(m, dtype=np.int64)
+    rest, p = m, 2
+    while rest > 1:
+        p = p if p * p <= rest else rest
+        e = 0
+        while rest % p == 0:
+            rest, e = rest // p, e + 1
+        if e:
+            part = power(np.arange(m), m // p**e)
+            for _ in range(e):
+                orders[part != identity] *= p
+                part = power(part, p)
+            if (part != identity).any():
+                raise ValueError(f"not a group: an element's order does not divide {m}")
+        p += 1
     return orders
 
 
 def classify_perm_group(g: PermGroup) -> GroupType:
     """Classify via order and element-order census, read off the images of dart 0.
 
-    The group must act freely on dart 0, as a connected dessin's
-    automorphism group does; rows are sorted by their image of dart 0, so
-    two elements sharing one are neighbours, and a ValueError is raised.
+    The input must be a group acting freely on dart 0, as a connected
+    dessin's automorphism group is.  Rows sharing an image of dart 0 are
+    neighbours and raise ValueError, as does a stack that is not a group.
     """
     if (g.stack[1:, 0] == g.stack[:-1, 0]).any():
         raise ValueError("two elements send dart 0 to the same dart; "

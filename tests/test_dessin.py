@@ -504,6 +504,77 @@ def test_abelian_groups_are_never_dihedral_beyond_rank_2():
         assert not (tag.kind == "dihedral" and tag.n >= 3), (a, b, tag)
 
 
+def test_classify_rejects_a_stack_that_is_not_a_group():
+    # dart 0 goes to distinct darts, but (0 1 2) squared sends it to 2, where no element does
+    with pytest.raises(ValueError, match="not a group: a product sends dart 0 outside"):
+        dd.classify_perm_group(dd.PermGroup([(0, 1, 2), (1, 2, 0)]))
+    with pytest.raises(ValueError, match="not a group: no element fixes dart 0"):
+        dd.classify_perm_group(dd.PermGroup([(1, 0)]))
+
+
+# Covers of 66 to 300 darts whose false candidates outlive several row growths:
+# (base, p, seed) of _cyclic_cover.  In the first two the candidate count divides
+# the dart count, so only a row growth or the end checks their queued edges.
+_DEFERRED_COVERS = [(12, 6, 6), (30, 7, 5), (6, 11, 5), (18, 13, 6), (36, 8, 5), (300, 1, 5)]
+
+
+@pytest.mark.parametrize("base, p, seed", _DEFERRED_COVERS)
+def test_automorphisms_match_oracle_when_false_candidates_outlive_row_growth(base, p, seed):
+    d = dd.Dessin(base * p, *_cyclic_cover(base, p, np.random.default_rng(seed)))
+    aut = _assert_matches_oracle(d)
+    like = [dd._darts_like_dart_0(c, d.dart_count) for c in d.cycles]
+    candidates = np.flatnonzero(np.logical_and.reduce(like)).tolist()
+    false = sorted(set(candidates) - set(aut.stack[:, 0].tolist()))
+    assert false and _rows_walked_until_the_last_false_candidate_dies(d, [0] + false) > 16
+
+
+# The power walk that prime-power descent replaced: the order of each element
+# is the length of its cycle through dart 0, all elements stepped at once.
+def _oracle_element_orders(stack):
+    orders = np.empty(len(stack), dtype=np.int64)
+    todo = np.arange(len(stack))
+    point = stack[:, 0]
+    step = 1
+    while len(todo):
+        back = point == 0
+        orders[todo[back]] = step
+        todo = todo[~back]
+        point = stack[todo, point[~back]]
+        step += 1
+    return orders
+
+
+def _groups_the_dessin_tests_build():
+    for a, b in ((a, b) for a in range(1, 49) for b in range(1, 48 // a + 1)):
+        yield dd.automorphisms(dd.Dessin(a * b, *_abelian_regular(a, b)))
+    for n in (1, 2, 12, 97, 150, 360, 800):
+        cycle = tuple((i + 1) % n for i in range(n))
+        yield dd.automorphisms(dd.Dessin(n, cycle, perms.identity(n)))
+        yield dd.automorphisms(dd.Dessin(n, cycle, tuple((i + 7) % n for i in range(n))))
+    for n in (1, 2, 3, 12, 97, 150, 180, 400):
+        yield dd.automorphisms(dd.Dessin(2 * n, *_dihedral_regular(n)))
+    yield _regular_closure([[1, 2, 3]], [[1, 2], [3, 4]], 4)         # A4
+    yield _regular_closure([[1, 2, 3, 4]], [[1, 2]], 4)              # S4
+    yield _regular_closure([[1, 2, 3, 4, 5]], [[1, 2], [3, 4]], 5)   # A5
+    for base, p, seed in [(12, 53, 5), *_DEFERRED_COVERS]:
+        yield dd.automorphisms(dd.Dessin(base * p, *_cyclic_cover(base, p, np.random.default_rng(seed))))
+
+
+def test_element_orders_match_the_power_walk():
+    for g in _groups_the_dessin_tests_build():
+        assert np.array_equal(dd._element_orders(g.stack), _oracle_element_orders(g.stack))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda k: st.lists(st.permutations(range(k)).map(tuple), min_size=2, max_size=2)))
+def test_element_orders_match_the_power_walk_on_random_regular_groups(gens):
+    g = _perm_closure(gens, len(gens[0]))
+    regular = _perm_closure(list(_regular(g.elements, gens, perms.compose)), g.order)
+    assert np.array_equal(dd._element_orders(regular.stack), _oracle_element_orders(regular.stack))
+    assert dd.classify_perm_group(regular) == _oracle_classify(regular)
+
+
 def test_group_stack_is_read_only():
     aut = dd.automorphisms(dd.parse_dessin(TORUS))
     assert aut.stack.dtype == np.int32
