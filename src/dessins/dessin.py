@@ -9,6 +9,7 @@ this module is exact integer arithmetic.
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -24,30 +25,51 @@ from .grouptypes import GroupType, classify_census
 class Dessin:
     """Two rotations of the darts, with the face rotation and the cycles of all three.
 
-    ``cycles`` holds the white, black and face cycles, in that order; each
-    cycle is led by its least dart and the cycles are listed by it, so the
-    first cycle of each holds dart 0.  The derived fields are computed once,
-    after validation, and are left out of ``==``, hashing and ``repr``.
+    ``rotations`` holds the white, black and face rotations as the rows of
+    one read-only (3, n) int32 array, and ``dart_cycle_lengths`` the length
+    of each dart's cycle under each of them, row for row.  ``cycles`` holds
+    the white, black and face cycles, in that order; each cycle is led by
+    its least dart and the cycles are listed by it, so the first cycle of
+    each holds dart 0.  The derived fields are computed once, after
+    validation, and are left out of ``==``, hashing and ``repr``.
     """
     dart_count: int
     sigma_white: tuple[int, ...]
     sigma_black: tuple[int, ...]
     face_permutation: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    rotations: np.ndarray = field(init=False, repr=False, compare=False)
     cycles: tuple[tuple[tuple[int, ...], ...], ...] = field(init=False, repr=False, compare=False)
+    dart_cycle_lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.dart_count
         if n < 1:
             raise MalformedInput("dart count must be positive")
-        for p in (self.sigma_white, self.sigma_black):
-            if len(p) != n or sorted(p) != list(range(n)):
-                raise NotAPermutation("not a bijection of the darts")
-        if not perms.is_transitive((self.sigma_white, self.sigma_black), n):
+        sigmas = (self.sigma_white, self.sigma_black)
+        if len(self.sigma_white) != n or len(self.sigma_black) != n:
+            raise NotAPermutation("not a bijection of the darts")
+        rotations = np.empty((3, n), dtype=np.int32)
+        rotations[:2] = np.fromiter(itertools.chain(*sigmas), dtype=np.int32,
+                                    count=2 * n).reshape(2, n)
+        if not (np.sort(rotations[:2]) == np.arange(n)).all():
+            raise NotAPermutation("not a bijection of the darts")
+        if not perms.is_transitive(sigmas, n):
             raise Disconnected("the two rotations do not generate a transitive action")
-        face = perms.compose(self.sigma_white, self.sigma_black)
-        object.__setattr__(self, "face_permutation", face)
-        object.__setattr__(self, "cycles", tuple(
-            tuple(perms.cycles(p)) for p in (self.sigma_white, self.sigma_black, face)))
+        rotations[0].take(rotations[1], out=rotations[2])
+        face = tuple(rotations[2].tolist())
+        cycles = tuple(tuple(perms.cycles(p)) for p in (*sigmas, face))
+        # each dart's cycle length: the lengths repeated over the concatenated cycles
+        # of all three rotations, the darts of row k shifted by k * n
+        flat = [c for row in cycles for c in row]
+        sizes = np.fromiter(map(len, flat), dtype=np.int32, count=len(flat))
+        darts = np.fromiter(itertools.chain.from_iterable(flat), dtype=np.intp, count=3 * n)
+        lengths = np.empty((3, n), dtype=np.int32)
+        lengths.reshape(-1)[darts + np.arange(0, 3 * n, n).repeat(n)] = sizes.repeat(sizes)
+        rotations.setflags(write=False)
+        lengths.setflags(write=False)
+        for name, value in (("face_permutation", face), ("rotations", rotations),
+                            ("cycles", cycles), ("dart_cycle_lengths", lengths)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -140,7 +162,43 @@ def parse_dessin(text: str) -> Dessin:
     if n > 1 and listed < n:
         raise Disconnected(f"{n} darts but only {listed} labels in the cycles; "
                            "an unlisted dart is fixed by both rotations")
-    return Dessin(n, *(perms.from_cycles(data[key], n) for key in keys))
+    return Dessin(n, *(_rotation(data[key], n) for key in keys))
+
+
+def _rotation(cycles: list[list], n: int) -> tuple[int, ...]:
+    """The permutation of {0..n-1} written by 1-based disjoint cycles; unlisted darts are fixed.
+
+    The labels are checked in bulk.  On a bad one, NotAPermutation names the
+    first in file order with its first failing check: type, range, repeat.
+    """
+    flat = list(itertools.chain.from_iterable(cycles))
+    labels = None
+    if set(map(type, flat)) <= {int}:  # bool is a subclass of int, not int
+        try:
+            labels = np.array(flat, dtype=np.int64)
+        except OverflowError:  # beyond int64, so outside 1..n
+            pass
+    if labels is None or len(labels) and (labels.min() < 1 or labels.max() > n
+                                          or np.bincount(labels).max() > 1):
+        seen: set[int] = set()
+        for label in flat:
+            if type(label) is not int:
+                raise NotAPermutation(f"dart label {label!r} is not an integer")
+            if label < 1 or label > n:
+                raise NotAPermutation(f"dart label {label} outside 1..{n}")
+            if label in seen:
+                raise NotAPermutation(f"dart {label} appears twice")
+            seen.add(label)
+    labels -= 1
+    # position k of the flat labels is followed by k + 1, or by its cycle's start if it ends one
+    sizes = np.fromiter(map(len, cycles), dtype=np.intp, count=len(cycles))
+    sizes = sizes[sizes > 0]
+    ends = sizes.cumsum()
+    after = np.arange(1, len(labels) + 1)
+    after[ends - 1] = ends - sizes
+    out = np.arange(n)
+    out[labels] = labels.take(after)
+    return tuple(out.tolist())
 
 
 def genus(d: Dessin) -> int:
@@ -198,24 +256,24 @@ def triangulate(d: Dessin) -> TriangulatedMap:
     )
 
 
-def _darts_like_dart_0(cycles, n: int) -> np.ndarray:
-    """Mask of the darts whose cycle is as long as the first one, the cycle through dart 0."""
-    mask = np.zeros(n, dtype=bool)
-    mask[[d for c in cycles if len(c) == len(cycles[0]) for d in c]] = True
-    return mask
-
-
 def _move_rows(a: np.ndarray, to: list[int]) -> None:
-    """Move row r of ``a`` to row ``to[r]``, in place, one cycle of ``to`` at a time."""
+    """Move row r of ``a`` to row ``to[r]``, in place, one cycle of ``to`` at a time.
+
+    Rows pass through two preallocated carry rows, so no row is allocated.
+    """
     moved = [False] * len(to)
+    carry, spare = np.empty((2, a.shape[1]), dtype=a.dtype)
     for start in range(len(to)):
         if moved[start]:
             continue
-        r, carry = start, a[start].copy()
+        r = start
+        carry[:] = a[start]
         while not moved[r]:  # carry holds the old row r
             moved[r] = True
             r = to[r]
-            a[r], carry = carry, a[r].copy()
+            spare[:] = a[r]
+            a[r] = carry
+            carry, spare = spare, carry
 
 
 def automorphisms(d: Dessin) -> PermGroup:
@@ -225,24 +283,27 @@ def automorphisms(d: Dessin) -> PermGroup:
     automorphism is fixed by the image of dart 0 and the group order
     divides the dart count.  The candidate images of dart 0 are the darts
     whose white, black and face cycles are as long as those through dart
-    0.  All candidates are propagated at once along a breadth-first walk
-    of dart 0: an edge to a new dart is one gather giving a new row of
-    images, and edges to darts already reached are queued and compared in
-    bulk before the rows grow, at the end, and, while too many candidates
-    live to be the group (whose order divides n), once the queue holds a
-    sixteenth of the rows.  Failed candidates are compacted away once they
-    outnumber the kept ones, and the walk stops when only the identity is
-    left, so the rows outgrow the output only while candidates are dying.
+    0, read off ``d.dart_cycle_lengths``.  All candidates are propagated at
+    once along a breadth-first walk of dart 0: an edge to a new dart is one
+    gather giving a new row of images, and edges to darts already reached
+    are queued and compared in bulk before the rows grow, at the end, and,
+    while too many candidates live to be the group (whose order divides n),
+    once the queue holds a sixteenth of the rows.  Failed candidates are
+    compacted away once they outnumber the kept ones, and the walk stops
+    when only the identity is left, so the rows outgrow the output only
+    while candidates are dying.  Every gather is an ``ndarray.take`` on the
+    dessin's int32 rotations.
     """
     n = d.dart_count
     sigmas = (d.sigma_white, d.sigma_black)
-    rotations = tuple(np.array(s, dtype=np.int32) for s in sigmas)
-    candidates = np.flatnonzero(np.logical_and.reduce([_darts_like_dart_0(c, n)
-                                                       for c in d.cycles]))
+    rotations = tuple(d.rotations[:2])
+    both = d.rotations[:2].reshape(-1)  # white, then black at an offset of n
+    lengths = d.dart_cycle_lengths
+    candidates = np.logical_and.reduce(lengths == lengths[:, :1]).nonzero()[0]
     images = np.array([candidates], dtype=np.int32)  # row r: images of walk[r]
     alive = np.ones(len(candidates), dtype=bool)
     live = len(candidates)
-    edges = ([], [])  # per rotation: (row, target row) of edges to reached darts, unchecked
+    edges = []  # (row, target row, rotation offset) of edges to reached darts, unchecked
     rank = [-1] * n
     rank[0] = 0
     walk = [0]
@@ -251,11 +312,11 @@ def automorphisms(d: Dessin) -> PermGroup:
         """Check the queued edges, about 2**14 images at a time, and compact; True if one is left."""
         nonlocal images, alive, live
         step = max(1, 2**14 // len(alive))
-        for rotation, queue in zip(rotations, edges):
-            for k in range(0, len(queue), step):
-                rows, targets = np.array(queue[k:k + step], dtype=np.intp).T
-                alive &= (rotation[images[rows]] == images[targets]).all(axis=0)
-            queue.clear()
+        for k in range(0, len(edges), step):
+            rows, targets, offsets = np.array(edges[k:k + step], dtype=np.int32).T
+            alive &= (both.take(images.take(rows, axis=0) + offsets[:, None])
+                      == images.take(targets, axis=0)).all(axis=0)
+        edges.clear()
         live = np.count_nonzero(alive)
         if 2 * live < len(alive):
             images = images[:len(walk)].compress(alive, axis=1)
@@ -263,12 +324,11 @@ def automorphisms(d: Dessin) -> PermGroup:
         return live == 1
 
     for dart in walk:  # the walk grows while it is read
-        for rotation, sigma, queue in zip(rotations, sigmas, edges):
+        for rotation, sigma, offset in zip(rotations, sigmas, (0, n)):
             e = sigma[dart]
             if rank[e] >= 0:
-                queue.append((rank[dart], rank[e]))
-                if (n % live and 16 * (len(edges[0]) + len(edges[1])) >= len(walk)
-                        and check_queued()):
+                edges.append((rank[dart], rank[e], offset))
+                if n % live and 16 * len(edges) >= len(walk) and check_queued():
                     return PermGroup(np.arange(n)[None])
                 continue
             if len(images) == len(walk):
@@ -277,7 +337,8 @@ def automorphisms(d: Dessin) -> PermGroup:
                 images.resize((min(2 * len(images), n), images.shape[1]), refcheck=False)
             rank[e] = len(walk)
             walk.append(e)
-            images[rank[e]] = rotation[images[rank[dart]]]
+            # every index is a dart; mode "raise" would buffer the output row
+            rotation.take(images[rank[dart]], out=images[rank[e]], mode="wrap")
     check_queued()
     if not alive.all():
         images = images.compress(alive, axis=1)
@@ -294,11 +355,9 @@ def brute_force_automorphisms(d: Dessin) -> PermGroup:
     start dart on the target cycle, is enumerated, and those commuting with
     sigma_black are kept.
     """
-    import itertools
-
-    sw, sb = d.sigma_white, d.sigma_black
+    sb = d.sigma_black
     by_length: dict[int, list[tuple[int, ...]]] = {}
-    for cycle in perms.cycles(sw):
+    for cycle in d.cycles[0]:
         by_length.setdefault(len(cycle), []).append(cycle)
     classes = list(by_length.values())
     maps_per_class = [[(targets, starts)
@@ -337,7 +396,7 @@ def _element_orders(stack: np.ndarray) -> np.ndarray:
         result = a
         for bit in bin(k)[3:]:
             for factor in (result, a)[:1 + int(bit)]:  # square, then times a on a 1 bit
-                result = where[stack[result, stack[factor, 0]]]
+                result = where.take(stack[result, stack[factor, 0]])
                 if (result < 0).any():
                     raise ValueError("not a group: a product sends dart 0 outside the images")
         return result

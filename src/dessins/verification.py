@@ -22,9 +22,8 @@ import numpy as np
 
 from . import dessin as dd
 from . import metrics as mt
-from . import permutations as perms
 from . import schwarz_christoffel as sc
-from .errors import CyclicGroupUnsupported, DessinsError
+from .errors import CyclicGroupUnsupported, DessinsError, Disconnected
 from .finite_groups import (FiniteMoebiusGroup, closure, conjugate_group,
                             conjugator_well_defined, from_type, is_in_SO3,
                             orbit_analysis, random_conjugator, unitarize)
@@ -168,10 +167,12 @@ _REFERENCE_DESSINS = [
 def _random_transitive_dessin(rng, max_darts: int = 10) -> dd.Dessin:
     while True:
         n = int(rng.integers(2, max_darts + 1))
-        sw = tuple(int(x) for x in rng.permutation(n))
-        sb = tuple(int(x) for x in rng.permutation(n))
-        if perms.is_transitive((sw, sb), n):
+        sw = tuple(rng.permutation(n).tolist())
+        sb = tuple(rng.permutation(n).tolist())
+        try:
             return dd.Dessin(n, sw, sb)
+        except Disconnected:
+            pass
 
 
 def check_dessin_topology(seed: int = 0) -> CheckResult:

@@ -2,6 +2,7 @@ import cmath
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -624,6 +625,51 @@ def test_info_huge_dart_count_without_labels_exit_2(tmp_path):
     code, _, err = _run_quietly(["info", str(path)])
     assert code == 2
     assert err.startswith("error: Disconnected: ") and err.count("\n") == 1
+
+
+# The malformed dessin files that tools/compare_outputs.py feeds to info on two
+# checkouts, with the one stderr line each printed before the labels were
+# checked in bulk: the first bad label in file order, with its first failing
+# check (type, then range, then repeat).
+_MALFORMED_DESSINS = runpy.run_path(
+    str(Path(__file__).parents[1] / "tools" / "compare_outputs.py"))["MALFORMED_DESSINS"]
+_MALFORMED_ERRORS = {
+    "label-zero": "NotAPermutation: dart label 0 outside 1..3",
+    "label-negative": "NotAPermutation: dart label -1 outside 1..3",
+    "label-above-darts": "NotAPermutation: dart label 4 outside 1..3",
+    "label-10**30": "NotAPermutation: dart label 1000000000000000000000000000000 outside 1..3",
+    "label--10**30": "NotAPermutation: dart label -1000000000000000000000000000000 outside 1..3",
+    "label-2**63": "NotAPermutation: dart label 9223372036854775808 outside 1..3",
+    "label--2**63": "NotAPermutation: dart label -9223372036854775808 outside 1..3",
+    "label-true": "NotAPermutation: dart label True is not an integer",
+    "label-float": "NotAPermutation: dart label 1.0 is not an integer",
+    "label-string": "NotAPermutation: dart label '1' is not an integer",
+    "label-nested-list": "NotAPermutation: dart label [2, 3] is not an integer",
+    "label-null": "NotAPermutation: dart label None is not an integer",
+    "repeat-in-cycle": "NotAPermutation: dart 1 appears twice",
+    "repeat-across-cycles": "NotAPermutation: dart 2 appears twice",
+    "range-before-type": "NotAPermutation: dart label 5 outside 1..3",
+    "repeat-before-type": "NotAPermutation: dart 1 appears twice",
+    "type-before-range": "NotAPermutation: dart label 2.5 is not an integer",
+    "white-before-black": "NotAPermutation: dart 2 appears twice",
+    "repeat-after-empty-cycles": "NotAPermutation: dart 2 appears twice",
+    "only-empty-cycles": "Disconnected: 2 darts but only 0 labels in the cycles; "
+                         "an unlisted dart is fixed by both rotations",
+    "fewer-labels-than-darts": "Disconnected: 4 darts but only 3 labels in the cycles; "
+                               "an unlisted dart is fixed by both rotations",
+    "disconnected": "Disconnected: the two rotations do not generate a transitive action",
+}
+
+
+def test_malformed_dessin_table_is_the_compare_tool_table():
+    assert _MALFORMED_ERRORS.keys() == _MALFORMED_DESSINS.keys()
+
+
+@pytest.mark.parametrize("name", _MALFORMED_ERRORS)
+def test_info_malformed_dessin_error_contract(name, tmp_path):
+    path = tmp_path / "dessin.json"
+    path.write_text(_MALFORMED_DESSINS[name])
+    assert _run_quietly(["info", str(path)]) == (2, "", f"error: {_MALFORMED_ERRORS[name]}\n")
 
 
 def _cycles_1_based(p):

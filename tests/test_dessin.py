@@ -1,4 +1,6 @@
 import json
+import math
+import random
 import time
 import tracemalloc
 from collections import Counter
@@ -19,14 +21,66 @@ SINGLE = '{"darts":1,"sigma_white":[],"sigma_black":[]}'
 TORUS = '{"darts":4,"sigma_white":[[1,2,3,4]],"sigma_black":[[1,2,3,4]]}'
 
 
+# Slow oracles: the tuple permutation helpers and the per-dart candidate mask
+# the package used before a Dessin kept its rotations as int32 arrays.
+
+def _identity(n):
+    return tuple(range(n))
+
+
+def _compose(p, q):
+    """Composition p∘q: apply q first, then p."""
+    return tuple(p[q[i]] for i in range(len(p)))
+
+
+def _inverse(p):
+    out = [0] * len(p)
+    for i, j in enumerate(p):
+        out[j] = i
+    return tuple(out)
+
+
+def _order(p):
+    return math.lcm(*(len(c) for c in perms.cycles(p))) if p else 1
+
+
+def _from_cycles(cycles, n):
+    """Expand 1-based disjoint cycles to a permutation of {0..n-1}, one label at a time.
+
+    Darts omitted from every cycle are fixed points.  Raises NotAPermutation
+    on the first label that is not an integer, out of range or a repeat.
+    """
+    out = list(range(n))
+    seen = set()
+    for cycle in cycles:
+        for label in cycle:
+            if not isinstance(label, int) or isinstance(label, bool):
+                raise NotAPermutation(f"dart label {label!r} is not an integer")
+            if label < 1 or label > n:
+                raise NotAPermutation(f"dart label {label} outside 1..{n}")
+            if label in seen:
+                raise NotAPermutation(f"dart {label} appears twice")
+            seen.add(label)
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            out[a - 1] = b - 1
+    return tuple(out)
+
+
+def _darts_like_dart_0(cycles, n):
+    """Mask of the darts whose cycle is as long as the first one, the cycle through dart 0."""
+    mask = np.zeros(n, dtype=bool)
+    mask[[d for c in cycles if len(c) == len(cycles[0]) for d in c]] = True
+    return mask
+
+
 def test_permutation_helpers():
-    p = perms.from_cycles([[1, 2, 3]], 4)
+    p = _from_cycles([[1, 2, 3]], 4)
     assert p == (1, 2, 0, 3)
-    assert perms.inverse(p) == (2, 0, 1, 3)
+    assert _inverse(p) == (2, 0, 1, 3)
     # compose applies the right-hand factor first
-    q = perms.from_cycles([[1, 2]], 4)
-    assert perms.compose(p, q)[0] == p[q[0]]
-    assert perms.order(p) == 3
+    q = _from_cycles([[1, 2]], 4)
+    assert _compose(p, q)[0] == p[q[0]]
+    assert _order(p) == 3
 
 
 def test_parse_equator():
@@ -130,8 +184,7 @@ def test_automorphisms_equator():
 
 def test_automorphisms_star_is_cyclic():
     for n in range(2, 7):
-        d = dd.Dessin(n, perms.from_cycles([list(range(1, n + 1))], n),
-                      perms.identity(n))
+        d = dd.Dessin(n, _from_cycles([list(range(1, n + 1))], n), _identity(n))
         aut = dd.automorphisms(d)
         assert aut.order == n
         assert dd.classify_perm_group(aut) == GroupType.cyclic(n)
@@ -143,13 +196,13 @@ def test_automorphisms_single_edge_trivial():
 
 
 def _perm_closure(gens, n):
-    els = {perms.identity(n)}
+    els = {_identity(n)}
     frontier = list(els)
     while frontier:
         fresh = []
         for w in frontier:
             for g in gens:
-                p = perms.compose(w, g)
+                p = _compose(w, g)
                 if p not in els:
                     els.add(p)
                     fresh.append(p)
@@ -159,9 +212,9 @@ def _perm_closure(gens, n):
 
 def _regular_closure(a, b, n):
     """The group generated by two permutations of n points, in its regular representation."""
-    gens = [perms.from_cycles(a, n), perms.from_cycles(b, n)]
+    gens = [_from_cycles(a, n), _from_cycles(b, n)]
     g = _perm_closure(gens, n)
-    return _perm_closure(list(_regular(g.elements, gens, perms.compose)), g.order)
+    return _perm_closure(list(_regular(g.elements, gens, _compose)), g.order)
 
 
 def test_classify_exceptional_groups_by_brute_force():
@@ -178,14 +231,14 @@ def test_classify_exceptional_groups_by_brute_force():
     assert dd.classify_perm_group(d3) == GroupType.dihedral(3)
     klein = _regular_closure([[1, 2], [3, 4]], [[1, 3], [2, 4]], 4)
     assert dd.classify_perm_group(klein) == GroupType.dihedral(2)
-    c2 = _perm_closure([perms.from_cycles([[1, 2]], 2)], 2)
+    c2 = _perm_closure([_from_cycles([[1, 2]], 2)], 2)
     assert dd.classify_perm_group(c2) == GroupType.cyclic(2)
 
 
 def test_classify_rejects_shared_image_of_dart_0():
     # S3 on 3 points: (2 3) fixes dart 0 like the identity, and has order 2, not 1
-    s3 = _perm_closure([perms.from_cycles([[1, 2, 3]], 3),
-                        perms.from_cycles([[2, 3]], 3)], 3)
+    s3 = _perm_closure([_from_cycles([[1, 2, 3]], 3),
+                        _from_cycles([[2, 3]], 3)], 3)
     with pytest.raises(ValueError, match="dart 0"):
         dd.classify_perm_group(s3)
 
@@ -247,13 +300,13 @@ def test_one_decomposition_per_rotation(argv, tmp_path, monkeypatch, capsys):
     if argv[0] == "metric":
         argv = argv + ["--out", str(tmp_path / "g.csv")]
     calls = Counter()
-    for name in ("cycles", "compose"):
-        def counted(*args, _name=name, _call=getattr(perms, name)):
-            calls[_name] += 1
-            return _call(*args)
-        monkeypatch.setattr(perms, name, counted)
+
+    def counted(*args, _call=perms.cycles):
+        calls["cycles"] += 1
+        return _call(*args)
+    monkeypatch.setattr(perms, "cycles", counted)
     assert main([argv[0], str(path), *argv[1:]]) == 0
-    assert calls == {"cycles": 3, "compose": 1}
+    assert calls == {"cycles": 3}
     assert "D3" in capsys.readouterr().out
 
 
@@ -263,9 +316,9 @@ def test_automorphism_group_properties(d):
     aut = dd.automorphisms(d)
     assert d.dart_count % aut.order == 0
     els = set(aut.elements)
-    assert perms.identity(d.dart_count) in els
+    assert _identity(d.dart_count) in els
     for p in aut.elements:
-        assert perms.inverse(p) in els
+        assert _inverse(p) in els
     if d.dart_count <= 7:
         assert aut == dd.brute_force_automorphisms(d)
 
@@ -277,8 +330,8 @@ def _oracle_permutation_filter(d):
     import itertools
 
     els = [cand for cand in itertools.permutations(range(d.dart_count))
-           if perms.compose(cand, d.sigma_white) == perms.compose(d.sigma_white, cand)
-           and perms.compose(cand, d.sigma_black) == perms.compose(d.sigma_black, cand)]
+           if _compose(cand, d.sigma_white) == _compose(d.sigma_white, cand)
+           and _compose(cand, d.sigma_black) == _compose(d.sigma_black, cand)]
     return dd.PermGroup(els)
 
 
@@ -350,7 +403,7 @@ def _oracle_automorphisms(d):
 
 
 def _oracle_classify(g):
-    return classify_census(g.order, dict(Counter(perms.order(p) for p in g.elements)))
+    return classify_census(g.order, dict(Counter(_order(p) for p in g.elements)))
 
 
 def _assert_matches_oracle(d):
@@ -364,7 +417,7 @@ def _assert_matches_oracle(d):
 
 def _relabel(sw, sb, rng):
     p = [int(x) for x in rng.permutation(len(sw))]
-    inv = perms.inverse(p)
+    inv = _inverse(p)
     return dd.Dessin(len(sw), tuple(p[sw[inv[i]]] for i in range(len(p))),
                      tuple(p[sb[inv[i]]] for i in range(len(p))))
 
@@ -454,7 +507,7 @@ def test_automorphisms_and_classification_match_oracle_small(d):
 def test_automorphisms_and_classification_match_oracle_large(kind, size):
     rng = np.random.default_rng(17)
     if kind == "star":
-        sw, sb = tuple((i + 1) % size for i in range(size)), perms.identity(size)
+        sw, sb = tuple((i + 1) % size for i in range(size)), _identity(size)
     elif kind == "cyclic":
         sw, sb = tuple((i + 1) % size for i in range(size)), tuple((i + 7) % size for i in range(size))
     elif kind == "dihedral":
@@ -476,7 +529,7 @@ def test_automorphisms_and_classification_match_oracle_large(kind, size):
     elif kind == "cover":
         # 530 candidates die down to the 53 shifts of the cover, so dropped
         # candidates are compacted away on a 636-row table
-        like = [dd._darts_like_dart_0(c, d.dart_count) for c in d.cycles]
+        like = [_darts_like_dart_0(c, d.dart_count) for c in d.cycles]
         assert np.count_nonzero(np.logical_and.reduce(like)) == 530
         assert dd.classify_perm_group(aut) == GroupType.cyclic(size[1])
 
@@ -522,7 +575,7 @@ _DEFERRED_COVERS = [(12, 6, 6), (30, 7, 5), (6, 11, 5), (18, 13, 6), (36, 8, 5),
 def test_automorphisms_match_oracle_when_false_candidates_outlive_row_growth(base, p, seed):
     d = dd.Dessin(base * p, *_cyclic_cover(base, p, np.random.default_rng(seed)))
     aut = _assert_matches_oracle(d)
-    like = [dd._darts_like_dart_0(c, d.dart_count) for c in d.cycles]
+    like = [_darts_like_dart_0(c, d.dart_count) for c in d.cycles]
     candidates = np.flatnonzero(np.logical_and.reduce(like)).tolist()
     false = sorted(set(candidates) - set(aut.stack[:, 0].tolist()))
     assert false and _rows_walked_until_the_last_false_candidate_dies(d, [0] + false) > 16
@@ -549,7 +602,7 @@ def _groups_the_dessin_tests_build():
         yield dd.automorphisms(dd.Dessin(a * b, *_abelian_regular(a, b)))
     for n in (1, 2, 12, 97, 150, 360, 800):
         cycle = tuple((i + 1) % n for i in range(n))
-        yield dd.automorphisms(dd.Dessin(n, cycle, perms.identity(n)))
+        yield dd.automorphisms(dd.Dessin(n, cycle, _identity(n)))
         yield dd.automorphisms(dd.Dessin(n, cycle, tuple((i + 7) % n for i in range(n))))
     for n in (1, 2, 3, 12, 97, 150, 180, 400):
         yield dd.automorphisms(dd.Dessin(2 * n, *_dihedral_regular(n)))
@@ -570,7 +623,7 @@ def test_element_orders_match_the_power_walk():
     lambda k: st.lists(st.permutations(range(k)).map(tuple), min_size=2, max_size=2)))
 def test_element_orders_match_the_power_walk_on_random_regular_groups(gens):
     g = _perm_closure(gens, len(gens[0]))
-    regular = _perm_closure(list(_regular(g.elements, gens, perms.compose)), g.order)
+    regular = _perm_closure(list(_regular(g.elements, gens, _compose)), g.order)
     assert np.array_equal(dd._element_orders(regular.stack), _oracle_element_orders(regular.stack))
     assert dd.classify_perm_group(regular) == _oracle_classify(regular)
 
@@ -630,7 +683,7 @@ def test_automorphisms_peak_follows_the_darts_walked_when_the_group_is_trivial()
     # 1066 candidates all but the identity die within a few hundred walk
     # steps; the table holds only the rows walked, never one row per dart
     d = dd.Dessin(3000, *_cyclic_cover(3000, 1, np.random.default_rng(5)))
-    like = [dd._darts_like_dart_0(c, d.dart_count) for c in d.cycles]
+    like = [_darts_like_dart_0(c, d.dart_count) for c in d.cycles]
     candidates = np.flatnonzero(np.logical_and.reduce(like)).tolist()
     rows = _rows_walked_until_the_last_false_candidate_dies(d, candidates)
     aut, peak = _traced_automorphisms(d)
@@ -649,3 +702,111 @@ def test_info_on_1000_dart_star_is_fast(tmp_path, capsys):
     assert main(["info", str(path)]) == 0
     assert time.perf_counter() - start < 10.0
     assert f"automorphisms: order {n}, type C{n}" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the parser and a dessin's int32 arrays: the rotations expanded
+# one label at a time, the face as a tuple composition, and each dart's cycle
+# length by walking its orbit.
+
+def _oracle_orbits(p):
+    """The orbit of each dart under p, walked from that dart."""
+    orbits = [None] * len(p)
+    for d in range(len(p)):
+        if orbits[d] is None:
+            orbit = [d]
+            while p[orbit[-1]] != d:
+                orbit.append(p[orbit[-1]])
+            for x in orbit:
+                orbits[x] = orbit
+    return orbits
+
+
+def _assert_dessin_matches_oracles(d):
+    n, sw, sb = d.dart_count, d.sigma_white, d.sigma_black
+    face = _compose(sw, sb)
+    assert d.face_permutation == face
+    assert d.rotations.dtype == np.int32 and not d.rotations.flags.writeable
+    assert d.rotations.tolist() == [list(sw), list(sb), list(face)]
+    orbits = [_oracle_orbits(p) for p in (sw, sb, face)]
+    assert not d.dart_cycle_lengths.flags.writeable
+    assert d.dart_cycle_lengths.tolist() == [[len(o) for o in row] for row in orbits]
+    counts = [len({min(o) for o in row}) for row in orbits]
+    assert [len(c) for c in d.cycles] == counts
+    assert dd.genus(d) == 1 - (sum(counts) - n) // 2
+    degrees = [tuple(sorted((len(o) for k, o in enumerate(row) if k == min(o)), reverse=True))
+               for row in orbits]
+    assert dd.passport(d) == dd.Passport(*degrees, n)
+
+
+def _file_cycles(p, rng, fixed_points):
+    """1-based cycles of p as a file may write them: any order, any start, fixed points
+    listed or left out, with empty cycles mixed in."""
+    cycles = [[x + 1 for x in o] for k, o in enumerate(_oracle_orbits(p)) if k == min(o)]
+    cycles = [c[s:] + c[:s] for c in cycles for s in [rng.randrange(len(c))]
+              if fixed_points or len(c) > 1]
+    cycles += [[] for _ in range(rng.randrange(3))]
+    rng.shuffle(cycles)
+    return cycles
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=60).flatmap(
+    lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))),
+    st.randoms(use_true_random=False), st.booleans())
+def test_parse_and_dessin_arrays_match_the_oracles(pair, rng, fixed_points):
+    n = len(pair[0])
+    sw, sb = tuple(pair[0]), tuple(pair[1])
+    if not perms.is_transitive((sw, sb), n):
+        sb = tuple((i + 1) % n for i in range(n))
+    white, black = _file_cycles(sw, rng, fixed_points), _file_cycles(sb, rng, fixed_points)
+    d = dd.parse_dessin(json.dumps({"darts": n, "sigma_white": white, "sigma_black": black}))
+    assert (d.sigma_white, d.sigma_black) == (_from_cycles(white, n), _from_cycles(black, n))
+    assert (d.sigma_white, d.sigma_black) == (sw, sb)
+    _assert_dessin_matches_oracles(d)
+
+
+_LABELS_OR_NOT = st.integers(min_value=-2, max_value=9) | st.sampled_from(
+    [True, False, 1.0, "1", None, [1], 10**30, -10**30, 2**63, -2**63])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=8),
+       st.lists(st.lists(_LABELS_OR_NOT, max_size=5), max_size=3),
+       st.lists(st.lists(_LABELS_OR_NOT, max_size=5), max_size=3))
+def test_parse_rejects_labels_as_the_label_by_label_oracle(n, white, black):
+    # the first bad label in file order, with its first failing check, or the same rotations
+    try:
+        expected = (_from_cycles(white, n), _from_cycles(black, n))
+    except NotAPermutation as exc:
+        expected = str(exc)
+    text = json.dumps({"darts": n, "sigma_white": white, "sigma_black": black})
+    try:
+        d = dd.parse_dessin(text)
+        got = (d.sigma_white, d.sigma_black)
+    except NotAPermutation as exc:
+        got = str(exc)
+    except Disconnected:
+        return
+    assert got == expected
+
+
+@pytest.mark.parametrize("kind, size, seed", [
+    ("star", 800, 1), ("cyclic", 800, 1), ("dihedral", 400, 1), ("random", 2000, 1),
+    ("random", 2000, 2)])
+def test_dessin_arrays_match_the_oracles_on_large_dessins(kind, size, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "star":
+        sw, sb = tuple((i + 1) % size for i in range(size)), _identity(size)
+    elif kind == "cyclic":
+        sw, sb = tuple((i + 1) % size for i in range(size)), tuple((i + 7) % size for i in range(size))
+    elif kind == "dihedral":
+        sw, sb = _dihedral_regular(size)
+    else:
+        sw, sb = _random_transitive(size, rng)
+    d = _relabel(sw, sb, rng)
+    _assert_dessin_matches_oracles(d)
+    cycles = [_file_cycles(p, random.Random(seed), False) for p in (d.sigma_white, d.sigma_black)]
+    parsed = dd.parse_dessin(json.dumps({"darts": d.dart_count, "sigma_white": cycles[0],
+                                         "sigma_black": cycles[1]}))
+    assert parsed == d
