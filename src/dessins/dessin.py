@@ -30,8 +30,9 @@ class Dessin:
     of each dart's cycle under each of them, row for row.  ``cycles`` holds
     the white, black and face cycles, in that order; each cycle is led by
     its least dart and the cycles are listed by it, so the first cycle of
-    each holds dart 0.  The derived fields are computed once, after
-    validation, and are left out of ``==``, hashing and ``repr``.
+    each holds dart 0.  ``walk`` holds the darts in the breadth-first order
+    of ``perms.walk``, as a read-only int32 array.  The derived fields are
+    computed once, after validation, and left out of ``==``, hash and ``repr``.
     """
     dart_count: int
     sigma_white: tuple[int, ...]
@@ -40,6 +41,7 @@ class Dessin:
     rotations: np.ndarray = field(init=False, repr=False, compare=False)
     cycles: tuple[tuple[tuple[int, ...], ...], ...] = field(init=False, repr=False, compare=False)
     dart_cycle_lengths: np.ndarray = field(init=False, repr=False, compare=False)
+    walk: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.dart_count
@@ -48,13 +50,17 @@ class Dessin:
         sigmas = (self.sigma_white, self.sigma_black)
         if len(self.sigma_white) != n or len(self.sigma_black) != n:
             raise NotAPermutation("not a bijection of the darts")
-        rotations = np.empty((3, n), dtype=np.int32)
-        rotations[:2] = np.fromiter(itertools.chain(*sigmas), dtype=np.int32,
-                                    count=2 * n).reshape(2, n)
-        if not (np.sort(rotations[:2]) == np.arange(n)).all():
+        try:  # an entry that is not an int gives another dtype; one that is a sequence, an error
+            given = np.array(sigmas)
+        except ValueError:
+            given = np.array(())
+        if given.dtype.kind not in "iu" or not (np.sort(given) == np.arange(n)).all():
             raise NotAPermutation("not a bijection of the darts")
-        if not perms.is_transitive(sigmas, n):
+        walk = np.array(perms.walk(sigmas, n), dtype=np.int32)
+        if len(walk) < n:
             raise Disconnected("the two rotations do not generate a transitive action")
+        rotations = np.empty((3, n), dtype=np.int32)
+        rotations[:2] = given
         rotations[0].take(rotations[1], out=rotations[2])
         face = tuple(rotations[2].tolist())
         cycles = tuple(tuple(perms.cycles(p)) for p in (*sigmas, face))
@@ -65,10 +71,10 @@ class Dessin:
         darts = np.fromiter(itertools.chain.from_iterable(flat), dtype=np.intp, count=3 * n)
         lengths = np.empty((3, n), dtype=np.int32)
         lengths.reshape(-1)[darts + np.arange(0, 3 * n, n).repeat(n)] = sizes.repeat(sizes)
-        rotations.setflags(write=False)
-        lengths.setflags(write=False)
+        for array in (rotations, lengths, walk):
+            array.setflags(write=False)
         for name, value in (("face_permutation", face), ("rotations", rotations),
-                            ("cycles", cycles), ("dart_cycle_lengths", lengths)):
+                            ("cycles", cycles), ("dart_cycle_lengths", lengths), ("walk", walk)):
             object.__setattr__(self, name, value)
 
 
@@ -101,6 +107,8 @@ class PermGroup:
 
     def __init__(self, elements):
         stack = np.array(elements, dtype=np.int32, ndmin=2, copy=None)
+        if not stack.size:
+            raise ValueError("a group needs at least one element, on at least one dart")
         if (stack[1:, 0] < stack[:-1, 0]).any():
             stack = stack[np.argsort(stack[:, 0], kind="stable")]
         stack.setflags(write=False)
@@ -281,68 +289,59 @@ def automorphisms(d: Dessin) -> PermGroup:
 
     For a connected dessin this centralizer acts freely, so each
     automorphism is fixed by the image of dart 0 and the group order
-    divides the dart count.  The candidate images of dart 0 are the darts
-    whose white, black and face cycles are as long as those through dart
-    0, read off ``d.dart_cycle_lengths``.  All candidates are propagated at
-    once along a breadth-first walk of dart 0: an edge to a new dart is one
-    gather giving a new row of images, and edges to darts already reached
-    are queued and compared in bulk before the rows grow, at the end, and,
-    while too many candidates live to be the group (whose order divides n),
-    once the queue holds a sixteenth of the rows.  Failed candidates are
-    compacted away once they outnumber the kept ones, and the walk stops
-    when only the identity is left, so the rows outgrow the output only
-    while candidates are dying.  Every gather is an ``ndarray.take`` on the
-    dessin's int32 rotations.
+    divides the dart count.  The candidates are the darts whose white,
+    black and face cycles are as long as those through dart 0.  Row r of
+    the table holds their images of ``d.walk[r]``.  Edge 2k + v leaves row
+    k by the white (v = 0) or black (v = 1) rotation.  The edges where the
+    running maximum of the target rows grows are the walk's tree: each
+    fills its row with one gather from its parent row.  The other edges are
+    checks.  The rows double, and after each doubling the checks whose rows
+    are filled are compared in chunked 2-D blocks.  Failed candidates are
+    compacted away once they outnumber the kept ones, and the search stops
+    when only the identity is left.
     """
     n = d.dart_count
-    sigmas = (d.sigma_white, d.sigma_black)
     rotations = tuple(d.rotations[:2])
     both = d.rotations[:2].reshape(-1)  # white, then black at an offset of n
     lengths = d.dart_cycle_lengths
     candidates = np.logical_and.reduce(lengths == lengths[:, :1]).nonzero()[0]
+    rank = np.empty(n, dtype=np.int32)
+    rank[d.walk] = np.arange(n, dtype=np.int32)
+    targets = rank.take(d.rotations[:2].take(d.walk, axis=1).T).reshape(-1)  # of edge 2k + v
+    reached = np.maximum.accumulate(targets)
+    grows = np.concatenate(([targets[0] > 0], reached[1:] > reached[:-1]))
+    edges = np.arange(2 * n, dtype=np.int32)
+    tree, checks = edges.compress(grows), edges.compress(~grows)  # tree[r - 1] fills row r
+    rows, others, offsets = checks >> 1, targets[checks], (checks & 1) * n
+    # needs[k]: the last row that checks 0..k read; they are ready once it is filled
+    needs = np.maximum.accumulate(np.maximum(rows, others))
     images = np.array([candidates], dtype=np.int32)  # row r: images of walk[r]
     alive = np.ones(len(candidates), dtype=bool)
-    live = len(candidates)
-    edges = []  # (row, target row, rotation offset) of edges to reached darts, unchecked
-    rank = [-1] * n
-    rank[0] = 0
-    walk = [0]
-
-    def check_queued() -> bool:
-        """Check the queued edges, about 2**14 images at a time, and compact; True if one is left."""
-        nonlocal images, alive, live
+    done = 0
+    while True:
+        ready = needs.searchsorted(len(images))
         step = max(1, 2**14 // len(alive))
-        for k in range(0, len(edges), step):
-            rows, targets, offsets = np.array(edges[k:k + step], dtype=np.int32).T
-            alive &= (both.take(images.take(rows, axis=0) + offsets[:, None])
-                      == images.take(targets, axis=0)).all(axis=0)
-        edges.clear()
+        for k in range(done, ready, step):
+            part = slice(k, min(k + step, ready))
+            alive &= (both.take(images.take(rows[part], axis=0) + offsets[part, None])
+                      == images.take(others[part], axis=0)).all(axis=0)
+        done = ready
         live = np.count_nonzero(alive)
+        if live == 1:  # the identity
+            return PermGroup(np.arange(n)[None])
         if 2 * live < len(alive):
-            images = images[:len(walk)].compress(alive, axis=1)
+            images = images.compress(alive, axis=1)
             alive = alive[alive]
-        return live == 1
-
-    for dart in walk:  # the walk grows while it is read
-        for rotation, sigma, offset in zip(rotations, sigmas, (0, n)):
-            e = sigma[dart]
-            if rank[e] >= 0:
-                edges.append((rank[dart], rank[e], offset))
-                if n % live and 16 * len(edges) >= len(walk) and check_queued():
-                    return PermGroup(np.arange(n)[None])
-                continue
-            if len(images) == len(walk):
-                if check_queued():  # the identity
-                    return PermGroup(np.arange(n)[None])
-                images.resize((min(2 * len(images), n), images.shape[1]), refcheck=False)
-            rank[e] = len(walk)
-            walk.append(e)
+        if len(images) == n:
+            break
+        filled = len(images)
+        images.resize((min(2 * filled, n), images.shape[1]), refcheck=False)
+        for row, edge in enumerate(tree[filled - 1:len(images) - 1].tolist(), filled):
             # every index is a dart; mode "raise" would buffer the output row
-            rotation.take(images[rank[dart]], out=images[rank[e]], mode="wrap")
-    check_queued()
+            rotations[edge & 1].take(images[edge >> 1], out=images[row], mode="wrap")
     if not alive.all():
         images = images.compress(alive, axis=1)
-    _move_rows(images, walk)
+    _move_rows(images, d.walk.tolist())
     return PermGroup(images.T)
 
 

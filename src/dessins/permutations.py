@@ -1,8 +1,9 @@
 """Walks along permutations of {0, .., n-1}, given as sequences of images.
 
 ``p[i]`` is the image of ``i``.  These are the two walks a ``Dessin`` is
-built with, the cycle decomposition and the transitivity test; it keeps
-its rotations as int32 arrays and does the rest of its arithmetic on them.
+built with, the cycle decomposition and the breadth-first walk of dart 0;
+it keeps its rotations and that walk as int32 arrays and does the rest of
+its arithmetic on them.
 """
 
 from __future__ import annotations
@@ -26,17 +27,16 @@ def cycles(p) -> list[tuple[int, ...]]:
     return out
 
 
-def is_transitive(perms, n: int) -> bool:
-    """Does the group generated by ``perms`` act transitively on {0..n-1}?"""
-    if n == 0:
-        return False
+def walk(perms, n: int) -> list[int]:
+    """The darts reached from dart 0 in breadth-first order, each dart's images in the order
+    of ``perms``: all ``n`` darts exactly when the action is transitive."""
     seen = [False] * n
     seen[0] = True
-    walk = [0]
-    for d in walk:  # the walk grows while it is read
+    order = [0]
+    for d in order:  # the walk grows while it is read
         for p in perms:
             e = p[d]
             if not seen[e]:
                 seen[e] = True
-                walk.append(e)
-    return len(walk) == n
+                order.append(e)
+    return order

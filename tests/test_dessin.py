@@ -3,7 +3,7 @@ import math
 import random
 import time
 import tracemalloc
-from collections import Counter
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -119,6 +119,17 @@ def test_parse_rejects_non_permutations():
         dd.parse_dessin('{"darts":2,"sigma_white":[[1,1]],"sigma_black":[[1,2]]}')
     with pytest.raises(NotAPermutation):
         dd.parse_dessin('{"darts":2,"sigma_white":[[1,3]],"sigma_black":[[1,2]]}')
+
+
+@pytest.mark.parametrize("sigma_white, sigma_black", [
+    ((1.0, 0), (1, 0)), ((1, 0.5), (1, 0)), ((0, 2**40), (0, 1)), ((1, 0), (0, "1")),
+    ((0, 2**32 + 1), (1, 0)), ((0, 2**64), (0, 1)), (([1], 0), (1, 0)),
+], ids=["float", "half", "2**40", "string", "2**32+1", "2**64", "list"])
+def test_dessin_rejects_entries_that_are_not_darts(sigma_white, sigma_black):
+    # entries an int32 cast would truncate, wrap, overflow on or parse
+    with pytest.raises(NotAPermutation) as caught:
+        dd.Dessin(2, sigma_white, sigma_black)
+    assert "\n" not in str(caught.value)
 
 
 def test_parse_rejects_disconnected():
@@ -248,7 +259,7 @@ def transitive_dessins(draw):
     n = draw(st.integers(min_value=1, max_value=8))
     sw = tuple(draw(st.permutations(list(range(n)))))
     sb = tuple(draw(st.permutations(list(range(n)))))
-    if not perms.is_transitive((sw, sb), n):
+    if len(perms.walk((sw, sb), n)) < n:
         # connect by replacing sigma_black with a full cycle
         sb = tuple((i + 1) % n for i in range(n))
     return dd.Dessin(n, sw, sb)
@@ -294,19 +305,21 @@ D3_MAP = '{"darts":6,"sigma_white":[[1,2,3],[4,5,6]],"sigma_black":[[1,4],[2,6],
 
 @pytest.mark.parametrize("argv", [["info"], ["metric", "--group", "D3", "--grid", "4"]])
 def test_one_decomposition_per_rotation(argv, tmp_path, monkeypatch, capsys):
-    # a dessin decomposes its three rotations once, on construction; every report reads them
+    # a dessin decomposes its three rotations and walks its darts once, on construction;
+    # every report and the automorphism search read them
     path = tmp_path / "d3.json"
     path.write_text(D3_MAP)
     if argv[0] == "metric":
         argv = argv + ["--out", str(tmp_path / "g.csv")]
     calls = Counter()
 
-    def counted(*args, _call=perms.cycles):
-        calls["cycles"] += 1
-        return _call(*args)
-    monkeypatch.setattr(perms, "cycles", counted)
+    for name in ("cycles", "walk"):
+        def counted(*args, _name=name, _call=getattr(perms, name)):
+            calls[_name] += 1
+            return _call(*args)
+        monkeypatch.setattr(perms, name, counted)
     assert main([argv[0], str(path), *argv[1:]]) == 0
-    assert calls == {"cycles": 3}
+    assert calls == {"cycles": 3, "walk": 1}
     assert "D3" in capsys.readouterr().out
 
 
@@ -341,7 +354,7 @@ def test_brute_force_automorphisms_matches_permutation_filter_exhaustively():
     for n in range(1, 5):
         for sw in itertools.permutations(range(n)):
             for sb in itertools.permutations(range(n)):
-                if perms.is_transitive((sw, sb), n):
+                if len(perms.walk((sw, sb), n)) == n:
                     d = dd.Dessin(n, sw, sb)
                     assert dd.brute_force_automorphisms(d) == _oracle_permutation_filter(d)
 
@@ -356,7 +369,7 @@ def small_dessins(draw):
     else:
         sw = tuple(draw(st.permutations(list(range(n)))))
     sb = tuple(draw(st.permutations(list(range(n)))))
-    if not perms.is_transitive((sw, sb), n):
+    if len(perms.walk((sw, sb), n)) < n:
         sb = tuple((i + 1) % n for i in range(n))
     return dd.Dessin(n, sw, sb)
 
@@ -445,7 +458,7 @@ def _random_transitive(n, rng):
     while True:
         sw = tuple(int(x) for x in rng.permutation(n))
         sb = tuple(int(x) for x in rng.permutation(n))
-        if perms.is_transitive((sw, sb), n):
+        if len(perms.walk((sw, sb), n)) == n:
             return sw, sb
 
 
@@ -472,7 +485,7 @@ def _cyclic_cover(base, p, rng):
             ab[x], ab[y], ab[z] = vb[x], vb[y], -vb[x] - vb[y]
         lifted = tuple(tuple(s[x] * p + (i + a[x]) % p for x in range(base) for i in range(p))
                        for s, a in ((sw, aw), (sb, ab)))
-        if perms.is_transitive(lifted, base * p):
+        if len(perms.walk(lifted, base * p)) == base * p:
             found += 1
             if found == 2:
                 return lifted
@@ -489,7 +502,7 @@ def small_dessins(draw):
         sb = tuple((i + k) % n for i in range(n))
     else:
         sb = tuple(draw(st.permutations(list(range(n)))))
-    if not perms.is_transitive((sw, sb), n):
+    if len(perms.walk((sw, sb), n)) < n:
         sb = tuple((i + 1) % n for i in range(n))
     return dd.Dessin(n, sw, sb)
 
@@ -563,11 +576,14 @@ def test_classify_rejects_a_stack_that_is_not_a_group():
         dd.classify_perm_group(dd.PermGroup([(0, 1, 2), (1, 2, 0)]))
     with pytest.raises(ValueError, match="not a group: no element fixes dart 0"):
         dd.classify_perm_group(dd.PermGroup([(1, 0)]))
+    with pytest.raises(ValueError, match="a group needs at least one element"):
+        dd.PermGroup([])
 
 
 # Covers of 66 to 300 darts whose false candidates outlive several row growths:
-# (base, p, seed) of _cyclic_cover.  In the first two the candidate count divides
-# the dart count, so only a row growth or the end checks their queued edges.
+# (base, p, seed) of _cyclic_cover.  Every check runs at a row doubling, once the
+# rows it compares are filled; the last false candidate of each fails only after
+# the walk has passed its first 16 darts, so it outlives several doublings.
 _DEFERRED_COVERS = [(12, 6, 6), (30, 7, 5), (6, 11, 5), (18, 13, 6), (36, 8, 5), (300, 1, 5)]
 
 
@@ -722,8 +738,23 @@ def _oracle_orbits(p):
     return orbits
 
 
+def _oracle_walk(sigmas):
+    """Breadth-first order of the darts from dart 0, by a queue, white before black."""
+    order, seen, queue = [], {0}, deque([0])
+    while queue:
+        dart = queue.popleft()
+        order.append(dart)
+        for sigma in sigmas:
+            if sigma[dart] not in seen:
+                seen.add(sigma[dart])
+                queue.append(sigma[dart])
+    return order
+
+
 def _assert_dessin_matches_oracles(d):
     n, sw, sb = d.dart_count, d.sigma_white, d.sigma_black
+    assert not d.walk.flags.writeable
+    assert d.walk.tolist() == _oracle_walk((sw, sb))
     face = _compose(sw, sb)
     assert d.face_permutation == face
     assert d.rotations.dtype == np.int32 and not d.rotations.flags.writeable
@@ -757,7 +788,7 @@ def _file_cycles(p, rng, fixed_points):
 def test_parse_and_dessin_arrays_match_the_oracles(pair, rng, fixed_points):
     n = len(pair[0])
     sw, sb = tuple(pair[0]), tuple(pair[1])
-    if not perms.is_transitive((sw, sb), n):
+    if len(perms.walk((sw, sb), n)) < n:
         sb = tuple((i + 1) % n for i in range(n))
     white, black = _file_cycles(sw, rng, fixed_points), _file_cycles(sb, rng, fixed_points)
     d = dd.parse_dessin(json.dumps({"darts": n, "sigma_white": white, "sigma_black": black}))

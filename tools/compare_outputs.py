@@ -12,7 +12,11 @@ side's directory is replaced by ``<dir>`` and verify's elapsed times by
 source lines that a change may move.  Library batches (``sc_inverse``,
 ``butterfly_belyi``) are not CLI ops and are skipped.  Every run also feeds
 the fixed malformed dessin files of ``MALFORMED_DESSINS`` to ``info`` on
-both sides, so each input error keeps its exit code and its one-line message.
+both sides, so each input error keeps its exit code and its one-line message,
+and the well-formed dessins of ``_fixed_dessins()``, which no workload op
+reaches: a cover whose automorphism candidates die down to a proper subgroup,
+so the candidates are compacted, and a dessin whose candidates die down to
+the identity.
 
 Prints one line per difference and exits 1 if there is any, else 0.
 Standard library only; the checkouts' own code needs numpy.
@@ -23,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -71,6 +76,53 @@ MALFORMED_DESSINS = {
 }
 
 
+def _cyclic_cover(base: int, p: int, seed: int) -> str:
+    """A connected p-fold cyclic voltage cover of a random dessin on ``base`` darts, as a file.
+
+    The base's white rotation is a fixed-point-free involution and its black
+    rotation is made of 3-cycles.  Dart (x, i) is x * p + i, and a rotation
+    sends it to (sigma(x), i + v(x)), the voltages v drawn from Z_p so that
+    every lifted cycle keeps its length; shifting i is an automorphism.
+    Draws from ``random.Random(seed)`` repeat until the cover is connected.
+    """
+    rng = random.Random(seed)
+    n = base * p
+    while True:
+        white, black = [], []
+        darts = rng.sample(range(base), base)
+        for x, y in zip(darts[::2], darts[1::2]):
+            v = rng.randrange(p)
+            white += [[x * p + i, y * p + (i + v) % p] for i in range(p)]
+        darts = rng.sample(range(base), base)
+        for x, y, z in zip(darts[::3], darts[1::3], darts[2::3]):
+            u, v = rng.randrange(p), rng.randrange(p)
+            black += [[x * p + i, y * p + (i + u) % p, z * p + (i + u + v) % p] for i in range(p)]
+        sigmas = [[0] * n, [0] * n]
+        for sigma, cycles in zip(sigmas, (white, black)):
+            for cycle in cycles:
+                for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                    sigma[a] = b
+        seen, walk = {0}, [0]
+        for dart in walk:  # the walk grows while it is read
+            for sigma in sigmas:
+                if sigma[dart] not in seen:
+                    seen.add(sigma[dart])
+                    walk.append(sigma[dart])
+        if len(walk) == n:
+            return json.dumps({"darts": n, "sigma_white": [[d + 1 for d in c] for c in white],
+                               "sigma_black": [[d + 1 for d in c] for c in black]})
+
+
+def _fixed_dessins() -> dict[str, str]:
+    """Well-formed dessin files that no workload op reaches, by name."""
+    return {
+        # 530 automorphism candidates die down to the 53 shifts of the cover
+        "cover-636-darts-53-fold": _cyclic_cover(12, 53, 5),
+        # 3711 candidates die down to the identity
+        "trivial-6000-darts": _cyclic_cover(6000, 1, 5),
+    }
+
+
 def _run(root: Path, argv: list[str], paths: list[str], cwd: Path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(root / p) for p in paths))
     return subprocess.run([sys.executable, *argv], env=env, cwd=cwd, capture_output=True)
@@ -92,11 +144,11 @@ def _side(root: Path, workload: str, seed: int, workdir: Path) -> list[tuple]:
     return _cli_results(root, json.loads(built.stdout), workdir)
 
 
-def _malformed_side(root: Path, workdir: Path) -> list[tuple]:
-    """``info`` on each file of MALFORMED_DESSINS, as _side reports its ops."""
+def _info_side(root: Path, workdir: Path, files: dict[str, str]) -> list[tuple]:
+    """``info`` on each of ``files``, text by name, as _side reports its ops."""
     workdir.mkdir(parents=True)
     argvs = []
-    for name, text in MALFORMED_DESSINS.items():
+    for name, text in files.items():
         path = workdir / f"{name}.json"
         path.write_text(text, encoding="utf-8")
         argvs.append(["info", str(path)])
@@ -121,15 +173,17 @@ def _cli_results(root: Path, argvs: list[list[str]], workdir: Path) -> list[tupl
 
 def _runs(parent: Path, change: Path, seeds: list[int], tmp: str):
     """(title, [parent results, change results]) of each workload and seed, then of the
-    malformed dessins, one run at a time."""
+    malformed and the fixed dessins, one run at a time."""
     roots = (("parent", parent), ("change", change))
     for workload in WORKLOADS:
         for seed in seeds:
             yield f"{workload} seed {seed}", [
                 _side(root, workload, seed, Path(tmp, f"{workload}-{seed}", name))
                 for name, root in roots]
-    yield "malformed dessins", [_malformed_side(root, Path(tmp, "malformed", name))
-                                for name, root in roots]
+    for title, files in (("malformed dessins", MALFORMED_DESSINS),
+                         ("fixed dessins", _fixed_dessins())):
+        yield title, [_info_side(root, Path(tmp, title.split()[0], name), files)
+                      for name, root in roots]
 
 
 def main(argv=None) -> int:
