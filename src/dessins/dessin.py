@@ -296,9 +296,11 @@ def automorphisms(d: Dessin) -> PermGroup:
     running maximum of the target rows grows are the walk's tree: each
     fills its row with one gather from its parent row.  The other edges are
     checks.  The rows double, and after each doubling the checks whose rows
-    are filled are compared in chunked 2-D blocks.  Failed candidates are
-    compacted away once they outnumber the kept ones, and the search stops
-    when only the identity is left.
+    are filled are compared in chunked 2-D blocks.  While the live count does
+    not divide the dart count, each new row also kills the candidates whose
+    images there have other cycle lengths than the row's dart.  Failed
+    candidates are compacted away once they outnumber the kept ones, and the
+    search stops when only the identity is left.
     """
     n = d.dart_count
     rotations = tuple(d.rotations[:2])
@@ -339,6 +341,11 @@ def automorphisms(d: Dessin) -> PermGroup:
         for row, edge in enumerate(tree[filled - 1:len(images) - 1].tolist(), filled):
             # every index is a dart; mode "raise" would buffer the output row
             rotations[edge & 1].take(images[edge >> 1], out=images[row], mode="wrap")
+        if n % live:  # a false candidate is left, and its images may change a cycle length
+            for k in range(filled, len(images), step):
+                part = slice(k, min(k + step, len(images)))
+                alive &= (lengths.take(images[part], axis=1)
+                          == lengths.take(d.walk[part], axis=1)[..., None]).all(axis=(0, 1))
     if not alive.all():
         images = images.compress(alive, axis=1)
     _move_rows(images, d.walk.tolist())

@@ -1,7 +1,8 @@
 """Finite Moebius groups as read-only (order, 2, 2) stacks of determinant-1 matrices.
 
 Groups are built by breadth-first closure of a generating set with
-projective deduplication (one array pass per frontier), keep the generators
+projective deduplication (each product is compared exactly only with the
+elements whose sort key lies near its own), keep the generators
 they were closed from, are classified through their element-order census
 (element orders in closed form from the traces), and are conjugated into
 the rotation group by averaging the Hermitian forms A^H A over the stack
@@ -11,6 +12,7 @@ the group onto projectively unitary matrices).
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -23,11 +25,12 @@ from .errors import (CyclicGroupUnsupported, InfiniteGroup, NumericalAmbiguity,
 from .grouptypes import GroupType, classify_census, parse_group_tag
 from .moebius import (DEFAULT_ORDER_CAP, PROJECTIVE_TOL, MoebiusTransform,
                       SpherePoint, chordal_gap, element_orders, fixed_points,
-                      homogeneous, normalizing_root, projective_gap,
-                      standard_generators)
+                      homogeneous, normalizing_root, normalizing_roots,
+                      projective_gap, standard_generators)
 
 DEFAULT_CLOSURE_CAP = 200
-CLOSURE_BLOCK = 64  # products compared per call; bounds the temporary at 64 x stack
+CLOSURE_BULK = 64  # rounds of this many products are normalized and matched as arrays
+CLOSURE_BLOCK = 2048  # products formed at once in such a round; bounds its temporaries
 CLUSTER_TOL = 1e-8  # chordal distance identifying sphere points
 CLUSTER_BLOCK = 256  # fixed points per gap table; bounds the temporary at 256 x points
 SPREAD_SAMPLES = 200  # sphere samples per comparison of two conjugated metrics
@@ -100,11 +103,109 @@ def classify_elements(elements) -> GroupType:
     return _classify(np.array([m.matrix for m in elements]).reshape(-1, 2, 2))
 
 
-def _nearest(signed: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Per m of a (B, 2, 2) block, ``projective_gap(rows, m).min()`` bit for bit (inf if none),
-    from ``signed`` (4, n, 2) holding each row's entries as M and -M; negation is exact."""
-    gaps = np.abs(signed.reshape(4, -1, 1) - block.reshape(-1, 4).T[:, None])
-    return gaps.max(axis=0).min(axis=0, initial=np.inf)
+class _KeyIndex:
+    """Rows of a stack sorted by the sign-free key |Re(c . vec M)| of ``_keys``.
+
+    For a fixed generic complex c, |Re(c . vec M)| - |Re(c . vec N)| is at most
+    sum|c_i| times projective_gap(M, N), so every row within 10 * PROJECTIVE_TOL
+    of a matrix has its key within ``_keys``' reach of the matrix's key, and
+    only the rows in that window are compared exactly.
+    """
+
+    def __init__(self, stack: np.ndarray):
+        self.stack = stack
+        self.keys: list[float] = []  # ascending
+        self.rows: list[int] = []  # the stack row of each key
+
+    def add(self, row: int, key: float):
+        at = bisect.bisect(self.keys, key)
+        self.keys.insert(at, key)
+        self.rows.insert(at, row)
+
+    def nearest(self, m: np.ndarray, key: float, reach: float):
+        """projective_gap(rows, m).min() bit for bit when it is below 10 * PROJECTIVE_TOL,
+        else at least that (inf when no row is in the window)."""
+        lo = bisect.bisect_left(self.keys, key - reach)
+        hi = bisect.bisect_right(self.keys, key + reach, lo)
+        if lo == hi:
+            return np.inf
+        if hi - lo == 1:  # the usual window: one row, by basic indexing
+            return projective_gap(self.stack[self.rows[lo]], m)
+        return projective_gap(self.stack[self.rows[lo:hi]], m).min()
+
+    def nearest_many(self, block: np.ndarray, keys: np.ndarray, reaches: np.ndarray) -> np.ndarray:
+        """``nearest`` of each matrix of a (B, 2, 2) block, in one gap table of its windows."""
+        order, rows = np.array(self.keys), np.array(self.rows, dtype=np.intp)
+        lo = order.searchsorted(keys - reaches, "left")
+        counts = order.searchsorted(keys + reaches, "right") - lo
+        best = np.full(len(block), np.inf)
+        hit = counts > 0
+        if hit.any():
+            starts = np.cumsum(counts) - counts
+            owner = np.repeat(np.arange(len(block)), counts)
+            at = np.arange(starts[-1] + counts[-1]) + np.repeat(lo - starts, counts)
+            gaps = projective_gap(self.stack[rows[at]], block[owner])
+            best[hit] = np.minimum.reduceat(gaps, starts[hit])
+        return best
+
+
+# The key's c, and its factors of the real and imaginary parts of vec M:
+# Re(c z) = c.re z.re - c.im z.im.  A window reaches 10 * PROJECTIVE_TOL * sum|c_i|
+# (widened by 1e-6 of itself) plus _KEY_ROUNDING times sum |part * factor|, which
+# covers the rounding of both keys, of the key sums of 8 terms, many times over.
+_KEY_C = np.array([0.8147 + 0.1270j, -0.6324 + 0.9058j, 0.2785 - 0.5469j, -0.9575 - 0.4854j])
+_KEY_PARTS = np.column_stack([_KEY_C.real, -_KEY_C.imag]).ravel()
+_KEY_WEIGHTS = np.abs(_KEY_PARTS)
+_KEY_FACTORS, _KEY_MODULI = _KEY_C.tolist(), np.abs(_KEY_C).tolist()
+_KEY_REACH = 10 * PROJECTIVE_TOL * sum(_KEY_MODULI) * (1 + 1e-6)
+_KEY_ROUNDING = 1e-14
+_KEY_CLIP = 1e300  # parts are clipped to it: no key overflows, and clipping shortens no gap
+_KEY_UNCLIPPED = _KEY_CLIP * min(_KEY_MODULI)  # below it, sum |c_i| |entry i| clips no part
+
+
+def _keys(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Key of each matrix of a C-contiguous (B, 2, 2) block, and the reach of its window."""
+    parts = np.minimum(np.maximum(block.view(float).reshape(-1, 8), -_KEY_CLIP), _KEY_CLIP)
+    return np.abs(parts @ _KEY_PARTS), _KEY_REACH + _KEY_ROUNDING * (np.abs(parts) @ _KEY_WEIGHTS)
+
+
+def _key(a: complex, b: complex, c: complex, d: complex) -> tuple[float, float]:
+    """``_keys`` of one matrix from its entries, in Python arithmetic, which never warns;
+    the reach is taken from sum |c_i| |entry i|, which bounds the sum over the parts."""
+    m0, m1, m2, m3 = _KEY_MODULI
+    scale = m0 * abs(a) + m1 * abs(b) + m2 * abs(c) + m3 * abs(d)
+    if not scale < _KEY_UNCLIPPED:  # a part may reach the clip, or is not finite
+        keys, reaches = _keys(np.array([a, b, c, d], dtype=complex))
+        return float(keys[0]), float(reaches[0])
+    c0, c1, c2, c3 = _KEY_FACTORS
+    return abs((c0 * a + c1 * b + c2 * c + c3 * d).real), _KEY_REACH + _KEY_ROUNDING * scale
+
+
+def _product_blocks(frontier: np.ndarray, factors: np.ndarray):
+    """Products w g of the frontier rows w with the factors g, frontier-major and normalized
+    as MoebiusTransform normalizes them, as (block, error) in blocks of about CLOSURE_BLOCK.
+
+    ``error`` is the ValueError of the first product that cannot be normalized;
+    its block ends before it, and no block follows.  A round of fewer than
+    CLOSURE_BULK products calls normalizing_root once per product, a larger
+    one normalizing_roots once per block.
+    """
+    step = max(1, CLOSURE_BLOCK // len(factors))
+    for lo in range(0, len(frontier), step):
+        products = np.matmul(frontier[lo:lo + step, None], factors[None]).reshape(-1, 2, 2)
+        if len(frontier) * len(factors) >= CLOSURE_BULK:
+            roots, error = normalizing_roots(products.reshape(-1, 4))
+        else:
+            roots, error = [], None
+            try:
+                for row in products.reshape(-1, 4).tolist():
+                    roots.append(normalizing_root(*row))
+            except ValueError as exc:
+                error = exc
+            roots = np.array(roots, dtype=complex)
+        yield products[:len(roots)] / roots[:, None, None], error
+        if error is not None:
+            return
 
 
 def closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteMoebiusGroup:
@@ -112,26 +213,35 @@ def closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteMoebiusGroup:
 
     Round 1 registers the generators; every later frontier is multiplied by the
     ones it registered, in listed order, so a repeated or identity generator adds
-    no products.  A round's products come from one stacked matmul; blocks of
-    CLOSURE_BLOCK are matched in one call against earlier rounds, the rest in
-    order, as if registered one at a time.  Raises InfiniteGroup past ``cap``
-    elements, NumericalAmbiguity between the dedup tolerance and ten times it,
-    ValueError where MoebiusTransform would.
+    no products.  Products are registered one at a time, in order, unless a
+    registered element lies within PROJECTIVE_TOL.  Registered elements are
+    found through ``_KeyIndex``: a block of CLOSURE_BULK or more first drops,
+    from one gap table of its key windows, the products matching an element
+    registered before the block.  Raises InfiniteGroup past ``cap`` elements,
+    NumericalAmbiguity between the dedup tolerance and ten times it, ValueError
+    where MoebiusTransform would.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    signed = np.empty((4, cap, 2), dtype=complex)  # entry, row, sign: each M and -M
-    signed[:, 0] = [[1, -1], [0, 0], [0, 0], [1, -1]]
+    stack = np.empty((cap, 2, 2), dtype=complex)
+    stack[0] = np.eye(2)
+    index = _KeyIndex(stack)
+    index.add(0, _key(1, 0, 0, 1)[0])
     size = 1
     gens = np.array([MoebiusTransform(g.matrix).matrix for g in generators]).reshape(-1, 2, 2)
-    candidates, error, factors = gens, None, None
+    blocks, factors = [(gens, None)], None
     while True:
         start = size
-        for lo in range(0, len(candidates), CLOSURE_BLOCK):
-            block = candidates[lo:lo + CLOSURE_BLOCK]
-            for m, best in zip(block, _nearest(signed[:, :start], block)):
-                if best >= PROJECTIVE_TOL and size > start:
-                    best = np.minimum(best, _nearest(signed[:, start:size], m)[0])
+        for block, error in blocks:
+            if len(block) >= CLOSURE_BULK:
+                keys, reaches = _keys(block)
+                left = ~(index.nearest_many(block, keys, reaches) < PROJECTIVE_TOL)
+                block = block[left]
+                windows = zip(keys[left].tolist(), reaches[left].tolist())
+            else:
+                windows = (_key(*row) for row in block.reshape(-1, 4).tolist())
+            for m, (key, reach) in zip(block, windows):
+                best = index.nearest(m, key, reach)
                 if best < PROJECTIVE_TOL:
                     continue
                 if best < 10 * PROJECTIVE_TOL:
@@ -140,23 +250,17 @@ def closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteMoebiusGroup:
                         "tighten the generators")
                 if size == cap:
                     raise InfiniteGroup(f"closure exceeded {cap} elements")
-                signed[:, size, 0], signed[:, size, 1] = m.ravel(), -m.ravel()
+                stack[size] = m
+                index.add(size, key)
                 size += 1
-        if error is not None:
-            raise error
+            if error is not None:  # raised once the rows before it are registered
+                raise error
         if size == start:
             break
         if factors is None:  # the generators round 1 registered: no repeats, no identity
-            factors = signed[:, 1:size, 0].T.reshape(-1, 2, 2)
-        products = np.matmul(signed[:, start:size, 0].T.reshape(-1, 1, 2, 2), factors[None])
-        roots = []
-        try:
-            for row in products.reshape(-1, 4).tolist():
-                roots.append(normalizing_root(*row))
-        except ValueError as exc:  # raised once the rows before it are registered
-            error = exc
-        candidates = products.reshape(-1, 2, 2)[:len(roots)] / np.array(roots)[:, None, None]
-    stack = signed[:, :size, 0].T.reshape(-1, 2, 2).copy()
+            factors = stack[1:size]
+        blocks = _product_blocks(stack[start:size], factors)
+    stack = stack[:size].copy()
     return FiniteMoebiusGroup(stack, _classify(stack), gens)
 
 

@@ -102,6 +102,39 @@ def normalizing_root(a: complex, b: complex, c: complex, d: complex) -> complex:
     return r
 
 
+def normalizing_roots(rows: np.ndarray) -> tuple[np.ndarray, ValueError | None]:
+    """``normalizing_root`` of each row of an (N, 4) complex array, bit for bit, up to the
+    first row it rejects, and that row's ValueError (None if every row passes).
+
+    The determinant repeats Python's complex arithmetic on the real and
+    imaginary parts, and the root is cmath.sqrt's formula for a finite
+    determinant that is neither zero nor subnormal, with the real square root
+    (numpy's complex one differs from cmath on the imaginary axis).
+    """
+    a, b, c, d = rows.T
+    with np.errstate(all="ignore"):  # Python complex arithmetic overflows without a warning
+        re = (a.real * d.real - a.imag * d.imag) - (b.real * c.real - b.imag * c.imag)
+        im = (a.real * d.imag + a.imag * d.real) - (b.real * c.imag + b.imag * c.real)
+        bad = ~(np.abs(re) + np.abs(im) <= sys.float_info.max) | (np.hypot(re, im) < 1e-14)
+    error = None
+    if bad.any():
+        first = int(bad.argmax())
+        try:
+            normalizing_root(*rows[first].tolist())
+        except ValueError as exc:
+            error = exc
+        re, im = re[:first], im[:first]
+    eighth = np.abs(re) / 8.0
+    s = 2.0 * np.sqrt(eighth + np.hypot(eighth, np.abs(im) / 8.0))
+    t = np.abs(im) / (2.0 * s)
+    right = re >= 0  # cmath.sqrt: (s, +-t) on the right half-plane, (t, +-s) on the left
+    roots = np.empty(len(re), dtype=complex)
+    roots.real = np.where(right, s, t)
+    roots.imag = np.copysign(np.where(right, t, s), im)
+    np.negative(roots, out=roots, where=(roots.real == 0) & (roots.imag < 0))  # real part >= 0
+    return roots, error
+
+
 class MoebiusTransform:
     """z -> (a z + b) / (c z + d) with a d - b c = 1."""
 

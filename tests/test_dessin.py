@@ -708,6 +708,17 @@ def test_automorphisms_peak_follows_the_darts_walked_when_the_group_is_trivial()
     assert peak <= 4 * rows * len(candidates) * 4
 
 
+def test_automorphisms_kill_candidates_whose_rows_change_a_cycle_length():
+    # dart 0 lies on a face of 16440 darts and no edge check fails near it, so
+    # without the cycle lengths of each new row all 16440 candidates lived until
+    # the table held 1024 rows (traced peak 132 MB); the peak is now the edge
+    # preparation, a few int32 arrays of 2n entries
+    d = dd.Dessin(60000, *_cyclic_cover(60000, 1, np.random.default_rng(5)))
+    aut, peak = _traced_automorphisms(d)
+    assert aut.order == 1 and d.dart_cycle_lengths[2, 0] == 16440
+    assert peak < 160 * d.dart_count
+
+
 def test_info_on_1000_dart_star_is_fast(tmp_path, capsys):
     # classification of this star was cubic in the dart count (about 69 s)
     n = 1000

@@ -588,6 +588,147 @@ def test_closure_memory_is_bounded_on_a_serialized_a5():
     assert peak < 2 * 2**20
 
 
+# The key index of closure against a whole-stack projective_gap scan: the
+# nearest gap is exact below 10 * PROJECTIVE_TOL and never smaller above it.
+
+def _index_of(stack):
+    index = fg._KeyIndex(stack)
+    keys, _ = fg._keys(stack)
+    for row, key in enumerate(keys.tolist()):
+        index.add(row, key)
+    return index
+
+
+def _planted_candidates(stack, rng):
+    """Rows, their negatives, and neighbours of random rows at 0.5 to 10.1 tolerances."""
+    picks = rng.integers(0, len(stack), 24)
+    yield from stack[picks[:4]]
+    yield from -stack[picks[4:8]]
+    for k, t in zip(picks[8:], [0.5, 2, 9.9, 10.1] * 4):
+        step = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        step *= t * mb.PROJECTIVE_TOL / np.abs(step).max()
+        yield (1 if k % 2 else -1) * (stack[k] + step)
+    for _ in range(4):
+        yield mb.MoebiusTransform(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))).matrix
+
+
+def _registered_sets(rng):
+    for tag in ("C7", "D15", "A5", "S4", "C120", "D50"):
+        base = fg.from_type(tag)
+        yield base.stack
+        for condition in (2.0, 100.0):
+            yield fg.conjugate_group(base, fg.random_conjugator(rng, condition)).stack
+    huge = np.array([[[1e150, 0], [0, 1e-150]], [[1e-150, 0], [0, 1e150]],
+                     [[1e150, 1e140], [0, 1e-150]], [[1e300, 0], [0, 1e-300]]], dtype=complex)
+    d7 = fg.from_type("D7").stack
+    yield np.concatenate([huge, d7, -huge[:2] * (1 + 1e-18)])
+    yield np.concatenate([d7, -d7])  # every row twice, once sign-flipped
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_key_index_nearest_matches_the_whole_stack_scan(seed):
+    rng = np.random.default_rng(seed)
+    for stack in _registered_sets(rng):
+        stack = np.ascontiguousarray(stack)
+        index = _index_of(stack)
+        candidates = np.array(list(_planted_candidates(stack, rng)))
+        keys, reaches = fg._keys(candidates)
+        many = index.nearest_many(candidates, keys, reaches)
+        for m, key, reach, bulk in zip(candidates, keys.tolist(), reaches.tolist(), many):
+            scan = mb.projective_gap(stack, m).min()
+            python_key = fg._key(*m.ravel().tolist())
+            found = [index.nearest(m, key, reach), index.nearest(m, *python_key), bulk]
+            if scan < 10 * mb.PROJECTIVE_TOL:
+                assert all(np.float64(f).tobytes() == scan.tobytes() for f in found)
+            else:
+                assert all(f >= scan for f in found)
+        near = mb.projective_gap(stack[:, None], candidates[None]).min(axis=0)
+        assert (near < mb.PROJECTIVE_TOL).any() and ((near > 2 * mb.PROJECTIVE_TOL)
+                                                      & (near < 10 * mb.PROJECTIVE_TOL)).any()
+
+
+def test_keys_stay_finite_and_find_every_row():
+    # parts are clipped, so infinite and huge entries key like entries of 1e300
+    rng = np.random.default_rng(7)
+    rows = (rng.normal(size=(300, 2, 2)) + 1j * rng.normal(size=(300, 2, 2))) * np.exp(
+        rng.uniform(-300, 300, (300, 1, 1)))
+    rows[:2] = [[[1e308, 1e308], [-1e308, 1e308]], [[0, 0], [0, 0]]]
+    rows[-2:] = [[[np.inf, 0], [0, 1]], [[complex(np.inf, -np.inf), 0], [0, 1]]]
+    keys, reaches = fg._keys(rows)
+    python = np.array([fg._key(*row.ravel().tolist()) for row in rows])
+    assert np.isfinite(keys).all() and np.isfinite(reaches).all() and np.isfinite(python).all()
+    index = _index_of(rows[:-2])
+    with np.errstate(over="ignore"):  # M + M overflows for the entries of 1e308
+        for m, key, reach, (python_key, python_reach) in zip(rows[:-2], keys, reaches, python):
+            assert index.nearest(m, key, reach) == index.nearest(m, python_key, python_reach) == 0
+
+
+def _normalizing_rows(rng):
+    rows = rng.normal(size=(300, 4)) + 1j * rng.normal(size=(300, 4))
+    scales = np.exp(rng.uniform(-150, 150, (60, 1)))
+    rows[::5] *= np.hstack([scales, scales, 1 / scales, 1 / scales])  # the same determinant
+    x, y = rng.uniform(0.1, 3.0, (2, 40))
+    rows[:40] = np.column_stack([x, 0 * x, 0 * x, -y])  # determinant -xy + 0j
+    rows[40:80] = np.column_stack([x, 0 * x, 0 * x, -y - 0j])
+    rows[40:80, 3].imag = -0.0  # determinant -xy - 0j
+    rows[80:120] = np.column_stack([x, 0 * x, 0 * x, 1j * y])  # on the imaginary axis
+    rows[120:160] = np.column_stack([1j * x, y, -y, 0 * x])  # determinant y^2 + 0j
+    return rows
+
+
+def test_normalizing_roots_match_normalizing_root_bit_for_bit():
+    rows = _normalizing_rows(np.random.default_rng(3))
+    roots, error = mb.normalizing_roots(rows)
+    expected = np.array([mb.normalizing_root(*row) for row in rows.tolist()])
+    assert error is None
+    assert roots.tobytes() == expected.tobytes()
+    assert np.signbit(roots.real[40:80]).all() and not np.signbit(roots.real[:40]).any()
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([1e200, 1e200, -1e200, 1e200], "matrix determinant overflows"),
+    ([np.inf, 0, 0, 1], "matrix determinant overflows"),
+    ([1, 2, 2, 4], "matrix is singular"),
+    ([1e-8, 0, 0, 1e-7], "matrix is singular"),
+])
+def test_normalizing_roots_stop_at_the_first_bad_row(bad, message):
+    rows = _normalizing_rows(np.random.default_rng(4))
+    rows[170], rows[250] = bad, [1, 2, 2, 4]
+    roots, error = mb.normalizing_roots(rows)
+    with pytest.raises(ValueError, match=message):
+        mb.normalizing_root(*rows[170].tolist())
+    assert type(error) is ValueError and str(error) == message
+    expected = np.array([mb.normalizing_root(*row) for row in rows[:170].tolist()])
+    assert roots.tobytes() == expected.tobytes()
+
+
+def test_closure_of_a_serialized_d200_takes_few_exact_gaps(monkeypatch):
+    # round 2 multiplies the 399 registered elements by themselves: 159201
+    # products, each a repeat, and each matched through its key window; a
+    # comparison with every row would take 400 times as many gaps
+    elements = _serialized(fg.closure(mb.standard_generators(parse_group_tag("D200")), 400))
+    pairs = []
+
+    def counted(a, b):
+        gaps = mb.projective_gap(a, b)
+        pairs.append(gaps.size)
+        return gaps
+
+    monkeypatch.setattr(fg, "projective_gap", counted)
+    g = fg.closure(elements, 401)
+    products = len(elements) + 399 ** 2
+    assert g.order == 400 and str(g.type_tag) == "D200"
+    assert 399 ** 2 <= sum(pairs) <= 2 * products
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        fg.closure(elements, 401)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20  # measured 1.0 MB; the whole-stack comparison peaked near 50 MB
+
+
 # The conjugator drawn for the serialized D15 op of the groups benchmark at
 # seed 23 (condition number 60.8).  The stack's entries reach 35 and it closes
 # only to 6.5e-11.  Evaluating the kernel at samples moved by the group gave an

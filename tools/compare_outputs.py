@@ -16,7 +16,11 @@ both sides, so each input error keeps its exit code and its one-line message,
 and the well-formed dessins of ``_fixed_dessins()``, which no workload op
 reaches: a cover whose automorphism candidates die down to a proper subgroup,
 so the candidates are compacted, and a dessin whose candidates die down to
-the identity.
+the identity.  It also feeds the generator files of ``_fixed_generators()``
+to ``metric``: a serialized icosahedral group, whose second closure round has
+3481 products that all repeat an element, part of it, whose round of 144
+products registers new elements, and two perturbed lists that end in a
+``NumericalAmbiguity``.
 
 Prints one line per difference and exits 1 if there is any, else 0.
 Standard library only; the checkouts' own code needs numpy.
@@ -25,6 +29,7 @@ Standard library only; the checkouts' own code needs numpy.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import random
@@ -123,6 +128,49 @@ def _fixed_dessins() -> dict[str, str]:
     }
 
 
+def _product(x: tuple, y: tuple) -> tuple:
+    """Product of 2x2 complex matrices given as their entries (a, b, c, d)."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _normalized(m: tuple) -> tuple:
+    r = cmath.sqrt(m[0] * m[3] - m[1] * m[2])
+    return tuple(z / r for z in m)
+
+
+def _moved(m: tuple, c: tuple) -> tuple:
+    """c m c^-1 for c of determinant 1."""
+    return _product(_product(c, m), (c[3], -c[1], -c[2], c[0]))
+
+
+def _fixed_generators() -> dict[str, str]:
+    """Generator files that no workload op reaches, by name: the icosahedral group of the
+    package's standard pair, closed breadth-first here and moved by a fixed conjugator."""
+    delta = cmath.exp(2j * cmath.pi / 5)
+    q = cmath.sqrt(1 - delta - 1 / delta)
+    pair = [_normalized((delta, 0, 0, 1)), _normalized((1, q, q, -1))]
+    elements, frontier = [(1, 0, 0, 1)], [(1, 0, 0, 1)]
+    while frontier:  # a product is new unless within 1e-6 of an element, up to sign
+        start = len(elements)
+        for p in [_product(w, g) for w in frontier for g in pair]:
+            if all(min(max(abs(u - v) for u, v in zip(p, e)),
+                       max(abs(u + v) for u, v in zip(p, e))) > 1e-6 for e in elements):
+                elements.append(p)
+        frontier = elements[start:]
+    c, nudge = _normalized((2, 1 + 1j, 0.5j, 1)), (1, 2e-9, 0, 1)
+    moved = [_moved(e, c) for e in elements]
+    files = {
+        "a5-serialized": moved,
+        "a5-twelve-elements": moved[1:13],
+        "a5-one-element-nudged": moved[:30] + [_moved(moved[30], nudge)] + moved[31:],
+        "a5-pair-nudged": [_moved(pair[0], c), _moved(_moved(pair[1], nudge), c)],
+    }
+    return {name: json.dumps([[[z.real, z.imag] for z in m] for m in ms])
+            for name, ms in files.items()}
+
+
 def _run(root: Path, argv: list[str], paths: list[str], cwd: Path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(root / p) for p in paths))
     return subprocess.run([sys.executable, *argv], env=env, cwd=cwd, capture_output=True)
@@ -144,15 +192,24 @@ def _side(root: Path, workload: str, seed: int, workdir: Path) -> list[tuple]:
     return _cli_results(root, json.loads(built.stdout), workdir)
 
 
-def _info_side(root: Path, workdir: Path, files: dict[str, str]) -> list[tuple]:
-    """``info`` on each of ``files``, text by name, as _side reports its ops."""
+def _file_side(root: Path, workdir: Path, files: dict[str, str], command) -> list[tuple]:
+    """``command(path)`` on each of ``files``, text by name, as _side reports its ops."""
     workdir.mkdir(parents=True)
     argvs = []
     for name, text in files.items():
         path = workdir / f"{name}.json"
         path.write_text(text, encoding="utf-8")
-        argvs.append(["info", str(path)])
+        argvs.append(command(path))
     return _cli_results(root, argvs, workdir)
+
+
+def _info(path: Path) -> list[str]:
+    return ["info", str(path)]
+
+
+def _metric(path: Path) -> list[str]:
+    return ["metric", "--generators", str(path), "--construction", "average", "--grid", "8",
+            "--out", str(path.with_suffix(".csv"))]
 
 
 def _cli_results(root: Path, argvs: list[list[str]], workdir: Path) -> list[tuple]:
@@ -173,16 +230,17 @@ def _cli_results(root: Path, argvs: list[list[str]], workdir: Path) -> list[tupl
 
 def _runs(parent: Path, change: Path, seeds: list[int], tmp: str):
     """(title, [parent results, change results]) of each workload and seed, then of the
-    malformed and the fixed dessins, one run at a time."""
+    malformed and the fixed dessins and of the fixed generators, one run at a time."""
     roots = (("parent", parent), ("change", change))
     for workload in WORKLOADS:
         for seed in seeds:
             yield f"{workload} seed {seed}", [
                 _side(root, workload, seed, Path(tmp, f"{workload}-{seed}", name))
                 for name, root in roots]
-    for title, files in (("malformed dessins", MALFORMED_DESSINS),
-                         ("fixed dessins", _fixed_dessins())):
-        yield title, [_info_side(root, Path(tmp, title.split()[0], name), files)
+    for title, files, command in (("malformed dessins", MALFORMED_DESSINS, _info),
+                                  ("fixed dessins", _fixed_dessins(), _info),
+                                  ("fixed generators", _fixed_generators(), _metric)):
+        yield title, [_file_side(root, Path(tmp, title.replace(" ", "-"), name), files, command)
                       for name, root in roots]
 
 
