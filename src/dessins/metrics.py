@@ -117,20 +117,7 @@ class ConformalMetric:
         chunk = max(1, _CHUNK_BUDGET // (arrays * self._coef.shape[0]))
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             for s in range(0, out.shape[0], chunk):
-                pc, rc = p[s:s + chunk], r[s:s + chunk]
-                w = np.conj(pc) * rc
-                mono = np.stack([pc.real ** 2 + pc.imag ** 2, rc.real ** 2 + rc.imag ** 2,
-                                 w.real, w.imag])
-                q = self._coef @ mono
-                if self.form is None:
-                    terms = np.multiply(q, q, out=q if curv is None else None)
-                    np.reciprocal(terms, out=terms)
-                else:
-                    h11, h22 = self.form[0, 0].real, self.form[1, 1].real
-                    pp, rr, cross = q.reshape(3, len(self.stack), -1)
-                    n2 = (pp + rr) ** 2
-                    terms = ((h11 * (pp * pp + rr * rr) + 2.0 * h22 * pp * rr
-                              + 2.0 * cross * (rr - pp)) / (n2 * n2))
+                mono, q, terms = self._terms(p[s:s + chunk], r[s:s + chunk], curv is None)
                 out[s:s + chunk] = rho = self._weights @ terms
                 if curv is None:
                     continue
@@ -140,6 +127,26 @@ class ConformalMetric:
                     d_rho, dd_rho = self._form_derivatives(rows, extra, q, terms, mono)
                 curv[s:s + chunk] = _liouville(rho, coord[s:s + chunk], d_rho, dd_rho)
         return out if curv is None else (out, curv)
+
+    def _terms(self, p: np.ndarray, r: np.ndarray, reuse: bool = False):
+        """Each stack entry's density at the homogeneous points (p, r), before its weight.
+
+        Returns (monomials, form values q, terms), row k of terms for entry k.
+        With ``reuse`` a metric without a form writes its terms over q.
+        """
+        w = np.conj(p) * r
+        mono = np.stack([p.real ** 2 + p.imag ** 2, r.real ** 2 + r.imag ** 2, w.real, w.imag])
+        q = self._coef @ mono
+        if self.form is None:
+            terms = np.multiply(q, q, out=q if reuse else None)
+            np.reciprocal(terms, out=terms)
+        else:
+            h11, h22 = self.form[0, 0].real, self.form[1, 1].real
+            pp, rr, cross = q.reshape(3, len(self.stack), -1)
+            n2 = (pp + rr) ** 2
+            terms = ((h11 * (pp * pp + rr * rr) + 2.0 * h22 * pp * rr
+                      + 2.0 * cross * (rr - pp)) / (n2 * n2))
+        return mono, q, terms
 
     def _chart_rows(self, i: int):
         """Per-metric rows of the curvature in chart i, whose coordinate is entry i of (P, R).

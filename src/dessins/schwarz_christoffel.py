@@ -8,8 +8,10 @@ normalization constant scales the image of [-1, 0] onto the unit segment
 Endpoint singularities are removed exactly by power substitutions
 (t = z s^2 at 0, t = -1 + (z+1) s^3 at -1, t = z / u^6 at infinity);
 each substituted integrand is analytic beyond [0, 1], so a fixed set of
-24-point Gauss-Legendre panels per region integrates it to rounding.  One
-point and a column of many points go through the same rule.  All
+24-point Gauss-Legendre panels per region integrates it to rounding.  A
+segment from i takes one panel when it is short for its distance from 0 and
+-1, and four otherwise, as every segment to a real point does.  One point
+and a column of many points go through the same rule.  All
 fractional powers are principal-branch, which is continuous on the closed
 upper half-plane.
 
@@ -87,16 +89,19 @@ def _segment(a, span, s):
     return _integrand(a + span * s) * span
 
 
-# The quadrature that reaches z from 0, -1, infinity and i, in the order
-# _region numbers them, as (integrand, node powers, weights); their
-# parameters are z, z + 1, z and z - i.  Every integrand is analytic on a
-# neighbourhood of [0, 1] whose size sets the number of panels: the
-# singularities lie at |s| >= sqrt(2) from 0, |s| >= 2^(1/3) from -1 and
-# |u| >= 2^(1/6) from infinity, while a segment from i can pass within
-# 1/sqrt(13) of a prevertex (see _region), so it takes four panels.
+# The quadrature that reaches z from 0, -1, infinity and i (four panels, then
+# one), in the order _region numbers them, as (integrand, node powers,
+# weights); their parameters are z, z + 1, z, z - i and z - i.  Every
+# integrand is analytic on a neighbourhood of [0, 1] whose size sets the
+# number of panels: the singularities lie at |s| >= sqrt(2) from 0,
+# |s| >= 2^(1/3) from -1 and |u| >= 2^(1/6) from infinity.  A segment from i
+# can pass within 1/sqrt(13) of a prevertex, at a length of 6.5 times that
+# distance (see _region); four panels hold each panel to a ratio of
+# 6.5 / 4 = _PANEL_RATIO, and a segment within that ratio takes one panel.
 _REGIONS = tuple((f, nodes ** power, weights) for f, (nodes, weights), power in (
     (_from_zero, _rule(1), 1), (_from_minus_one, _rule(1), 3), (_from_infinity, _rule(2), 6),
-    (functools.partial(_segment, 1j), _rule(4), 1)))
+    (functools.partial(_segment, 1j), _rule(4), 1), (functools.partial(_segment, 1j), _rule(1), 1)))
+_PANEL_RATIO = 6.5 / 4  # length over distance from 0 and -1, per panel of a segment from i
 
 
 def _integral(region: int, q):
@@ -109,6 +114,17 @@ def _integral(region: int, q):
     return (f(q, nodes) * weights).sum(axis=-1).tolist()
 
 
+def _clearance(a: complex, span: complex, p: float) -> float:
+    """Distance from p to the segment from a to a + span (span nonzero)."""
+    s = min(max(((p - a) / span).real, 0.0), 1.0)
+    return abs(a + span * s - p)
+
+
+def _segment_clearance(a: complex, span: complex) -> float:
+    """Distance of the segment from a to a + span (span nonzero) from the prevertices 0 and -1."""
+    return min(_clearance(a, span, 0.0), _clearance(a, span, -1.0))
+
+
 def _region(z: complex):
     """(index into _REGIONS, parameter) of the quadrature that reaches z."""
     if abs(z) <= 0.5:
@@ -118,13 +134,19 @@ def _region(z: complex):
     if abs(z) > 2.0:
         return 2, z
     # segments from i stay farther than 1/sqrt(13) = 0.2774 from both finite
-    # prevertices; the bound is approached as z -> -1.5 along |z + 1| = 0.5
-    return 3, z - 1j
+    # prevertices; the bound is approached as z -> -1.5 along |z + 1| = 0.5,
+    # where the segment is sqrt(3.25) = 6.5/sqrt(13) long.  A real x has a
+    # ratio of (1 + x^2)/|x| >= 2 on (0.5, 2] and at least 5 on [-2, -1.5),
+    # so the real axis keeps four panels without the ratio test
+    span = z - 1j
+    if z.imag and (not span or abs(span) <= _PANEL_RATIO * _segment_clearance(1j, span)):
+        return 4, span
+    return 3, span
 
 
 def _piece(region: int, q, integral) -> complex:
     """Raw integral between the region's base point (0, -1, infinity, i) and z."""
-    if region == 3:
+    if region >= 3:
         return integral
     if region == 2:
         return 6.0 * cmath.sqrt(q) * integral
@@ -149,12 +171,6 @@ def _short_rule(nodes: int):
     return (0.5 * x + 0.5).tolist(), (0.5 * w).tolist()
 
 
-def _clearance(a: complex, span: complex, p: float) -> float:
-    """Distance from p to the segment from a to a + span (span nonzero)."""
-    s = min(max(((p - a) / span).real, 0.0), 1.0)
-    return abs(a + span * s - p)
-
-
 class TriangleMap:
     """The normalized forward map, with the raw integrals from 0 to -1, i and infinity."""
     prevertices = (0.0, -1.0, float("inf"))  # on the real axis
@@ -166,7 +182,7 @@ class TriangleMap:
             return _piece(region, q, _integral(region, q))
 
         self.raw_c1 = reach(0, -0.5 + 0j) - reach(1, 0.5 + 0j)
-        # to i/2 from 0, then back along the segment from i to i/2
+        # to i/2 from 0, then back along the segment from i to i/2, on four panels
         self.raw_ci = reach(0, 0.5j) - reach(3, -0.5j)
         self.constant = 1.0 / self.raw_c1  # normalization A
         tail = 6.0 * _integral(2, 1.0)
@@ -201,7 +217,7 @@ class TriangleMap:
         length = abs(span)
         if not length:
             return 0j
-        reach = min(_clearance(a, span, 0.0), _clearance(a, span, -1.0))
+        reach = _segment_clearance(a, span)
         for bound, nodes, weights in self.short_rules:
             if length <= bound * reach:
                 return self.constant * span * sum(

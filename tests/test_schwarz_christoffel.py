@@ -309,7 +309,7 @@ def test_forward_matches_oracle_in_every_region():
     rng = np.random.default_rng(17)
     points = [complex(rng.uniform(-r, r), rng.uniform(0.0, r))
               for r in (0.6, 1.6, 3.0, 40.0) for _ in range(60)]
-    assert {sc._region(z)[0] for z in points} == {0, 1, 2, 3}
+    assert {sc._region(z)[0] for z in points} == {0, 1, 2, 3, 4}
     _assert_forward_matches_oracle(points)
 
 
@@ -328,21 +328,72 @@ def test_forward_matches_oracle_on_real_axis():
     _assert_forward_matches_oracle(points)
 
 
-def test_segments_from_i_clear_the_prevertices():
-    # the four panels of the segment rule are sized on this clearance; a grid
-    # over region 3 and its boundary circles, just outside the other regions
-    xs, ys = np.meshgrid(np.linspace(-2.0, 2.0, 401), np.linspace(0.0, 2.0, 201))
-    rim = np.exp(1j * np.linspace(0.0, math.pi, 20001))
-    zs = [z for z in np.concatenate(((xs + 1j * ys).ravel(), (0.5 + 1e-12) * rim,
-                                     -1.0 + (0.5 + 1e-12) * rim, 2.0 * rim)).tolist()
-          if z != 1j and sc._region(z)[0] == 3]
-    spans = np.array(zs) - 1j
+def _ratio_from_i(zs):
+    """Length over distance from 0 and -1 of the segments from i to each of zs."""
+    spans = np.asarray(zs) - 1j
     clearance = np.inf
     for prevertex in (0.0, -1.0):
         t = np.clip(((prevertex - 1j) * spans.conjugate()).real / abs(spans) ** 2, 0.0, 1.0)
         clearance = np.minimum(clearance, abs(1j + t * spans - prevertex))
+    return abs(spans) / clearance, clearance
+
+
+def test_segments_from_i_clear_the_prevertices():
+    # the panels of the segment rules are sized on this clearance; a grid over
+    # regions 3 and 4 and their boundary circles, just outside the other regions
+    xs, ys = np.meshgrid(np.linspace(-2.0, 2.0, 401), np.linspace(0.0, 2.0, 201))
+    rim = np.exp(1j * np.linspace(0.0, math.pi, 20001))
+    zs = np.array([z for z in np.concatenate(((xs + 1j * ys).ravel(), (0.5 + 1e-12) * rim,
+                                              -1.0 + (0.5 + 1e-12) * rim, 2.0 * rim)).tolist()
+                   if z != 1j and sc._region(z)[0] >= 3])
+    regions = np.array([sc._region(z)[0] for z in zs.tolist()])
+    ratio, clearance = _ratio_from_i(zs)
     # the infimum 1/sqrt(13), on the segment to -1.5, is approached but not reached
     assert 1.0 / math.sqrt(13.0) < clearance.min() < 1.0 / math.sqrt(13.0) + 1e-6
+    # each of the four panels, a quarter of the segment, is at least as far as the
+    # segment: at most 6.5 / 4 of its length per distance, the one-panel bound
+    assert sc._PANEL_RATIO == 6.5 / 4
+    # the tiers split at the bound, up to the rounding of the two ratios
+    four, one = ratio[regions == 3], ratio[regions == 4]
+    assert 6.5 - 1e-4 < four.max() < 6.5 and four.min() > sc._PANEL_RATIO - 1e-12
+    assert sc._PANEL_RATIO - 1e-3 < one.max() <= sc._PANEL_RATIO + 1e-12
+    assert len(one) > 1000 and len(four) > 1000
+
+
+def test_real_segments_from_i_take_four_panels():
+    # a real x has ratio (1 + x^2) / x >= 2 on (0.5, 2], equal at x = 1, and at
+    # least 5 on [-2, -1.5), so _region skips the test there
+    xs = np.concatenate((np.linspace(0.5, 2.0, 3001)[1:], np.linspace(-2.0, -1.5, 1001)[:-1],
+                         [1.0, math.nextafter(0.5, 1.0), math.nextafter(-1.5, -2.0)]))
+    zs = [complex(x, 0.0) for x in xs.tolist()]
+    assert {sc._region(z)[0] for z in zs} == {3}
+    ratio, _ = _ratio_from_i(zs)
+    assert ratio.min() >= 2.0 - 1e-15
+    assert ratio[xs < 0].min() >= 5.0 - 1e-12
+    # a +0.0 or -0.0 imaginary part, and a point just above the axis
+    assert sc._region(complex(1.0, -0.0)) == (3, 1.0 - 1j)
+    assert sc._region(complex(1.0, 1e-300))[0] == 3
+
+
+def test_one_panel_segments_from_i_match_oracle():
+    rng = np.random.default_rng(43)
+    points = [z for z in (rng.uniform(-2.0, 2.0, 600) + 1j * rng.uniform(0.0, 2.0, 600)).tolist()
+              if sc._region(z)[0] == 4]
+    assert len(points) > 150
+    # just below the ratio bound, in directions where it falls inside the region
+    below = []
+    for angle in np.linspace(-math.pi, 0.0, 721)[1:-1].tolist():
+        z = _segment_at_ratio(1j, cmath.exp(1j * angle), sc._PANEL_RATIO * (1.0 - 1e-9))
+        if z.imag > 0 and sc._region(z)[0] == 4:
+            below.append(z)
+    assert len(below) > 100
+    ratio, _ = _ratio_from_i(below)
+    assert np.all((sc._PANEL_RATIO * (1.0 - 1e-8) < ratio) & (ratio <= sc._PANEL_RATIO))
+    # measured maximum 3.9e-16 on both sets
+    points += below + [1j]
+    assert sc._region(1j) == (4, 0j)
+    _assert_forward_matches_oracle(points)
+    assert sc.sc_forward(1j) == sc.triangle_map().constant * sc.triangle_map().raw_ci
 
 
 def _boundary_points(table):
@@ -509,6 +560,29 @@ def test_newton_cost_per_point(monkeypatch):
     assert calls[0] / len(targets) <= 2.2
 
 
+def test_integrand_nodes_per_inverse(monkeypatch):
+    # nodes of the forward quadratures and closed-form integrand calls (slopes
+    # and short rules); measured mean 94.3, and 117.4 with four panels on every
+    # segment from i
+    nodes = [0]
+    integral, integrand_at = sc._integral, sc._integrand_at
+
+    def counted_integral(region, q):
+        nodes[0] += sc._REGIONS[region][1].shape[-1] * np.size(q)
+        return integral(region, q)
+
+    def counted_at(t):
+        nodes[0] += 1
+        return integrand_at(t)
+
+    monkeypatch.setattr(sc, "_integral", counted_integral)
+    monkeypatch.setattr(sc, "_integrand_at", counted_at)
+    targets = _triangle_points(np.random.default_rng(37), 200)
+    for w in targets:
+        sc.sc_inverse(w)
+    assert nodes[0] / len(targets) <= 100
+
+
 _OFF_TRIANGLE = [2, -1 + 1j, 0.5 + 0.5j, 10 + 10j, 0.5 - 2j, -0.1, 1.1 - 0.1j, 0.5 - 0.9j, 1e200,
                  -3.56e39 - 6.57e38j, -1.04e45 - 1.64e46j]
 
@@ -652,7 +726,7 @@ def test_closed_form_integrand_matches_array_integrand():
     rng = np.random.default_rng(41)
     points = [complex(rng.uniform(-r, r), rng.uniform(0.0, r))
               for r in (0.6, 1.6, 3.0, 40.0) for _ in range(50)]
-    assert {sc._region(z)[0] for z in points} == {0, 1, 2, 3}
+    assert {sc._region(z)[0] for z in points} == {0, 1, 2, 3, 4}
     points += [complex(x, 0.0) for x in np.linspace(-0.99, -0.01, 50).tolist()]
     angles = np.linspace(0.0, math.pi, 37)
     points += [c + r * cmath.exp(1j * t) for c, r in ((0.0, 0.5), (-1.0, 0.5), (0.0, 2.0))

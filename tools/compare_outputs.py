@@ -22,6 +22,14 @@ to ``metric``: a serialized icosahedral group, whose second closure round has
 products registers new elements, and two perturbed lists that end in a
 ``NumericalAmbiguity``.
 
+Last, both checkouts evaluate ``sc_forward`` on the fixed points of
+``forward_grid()``: a grid of the upper half-plane over every region of the
+triangle map, ``z = i``, and points on either side of the ratio of length
+to clearance at which a segment from ``i`` changes its number of panels.
+One line per region gives its bit-identical count and its largest relative
+gap; a real-axis value that differs, or a gap above ``FORWARD_GAP``, counts
+as a difference.
+
 Prints one line per difference and exits 1 if there is any, else 0.
 Standard library only; the checkouts' own code needs numpy.
 """
@@ -171,6 +179,84 @@ def _fixed_generators() -> dict[str, str]:
             for name, ms in files.items()}
 
 
+FORWARD_GAP = 1e-14  # largest relative gap allowed between the checkouts' forward maps
+_FORWARD = ("import json, sys; from dessins.schwarz_christoffel import sc_forward; "
+            "points = json.load(open(sys.argv[1])); "
+            "print(json.dumps([[w.real, w.imag] for w in "
+            "(sc_forward(complex(x, y)) for x, y in points)]))")
+_PANEL_RATIO = 6.5 / 4  # a segment from i within this ratio takes one panel
+
+
+def _segment_ratio(z: complex) -> float:
+    """Length of the segment from i to z over its distance from 0 and -1."""
+    span = z - 1j
+    distances = []
+    for p in (0.0, -1.0):
+        s = min(max(((p - 1j) / span).real, 0.0), 1.0)
+        distances.append(abs(1j + span * s - p))
+    return abs(span) / min(distances)
+
+
+def _forward_region(z: complex) -> str:
+    if abs(z) <= 0.5:
+        return "|z| <= 0.5"
+    if abs(z + 1.0) <= 0.5:
+        return "|z + 1| <= 0.5"
+    if abs(z) > 2.0:
+        return "|z| > 2"
+    if z == 1j or _segment_ratio(z) <= _PANEL_RATIO:
+        return f"from i, ratio <= {_PANEL_RATIO}"
+    return f"from i, ratio > {_PANEL_RATIO}"
+
+
+def forward_grid() -> list[complex]:
+    """Fixed points of the closed upper half-plane for the forward-map comparison."""
+    points = [complex(x / 20.0, y / 20.0) for x in range(-50, 51) for y in range(51)]
+    points += [complex(x, y) for x in (-40.0, -7.0, 3.0, 40.0) for y in (0.0, 1.0, 25.0)]
+    points.append(1j)
+    for k in range(1, 360):  # segments from i heading below it, bisected on their ratio
+        direction = cmath.exp(-1j * cmath.pi * k / 360)
+        for ratio in (_PANEL_RATIO * (1.0 - 1e-9), _PANEL_RATIO * (1.0 + 1e-9)):
+            lo, hi = 0.0, 2.0
+            for _ in range(100):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if _segment_ratio(1j + mid * direction) <= ratio else (lo, mid)
+            z = 1j + lo * direction
+            if z.imag > 0 and _forward_region(z).startswith("from i"):
+                points.append(z)
+    return points
+
+
+def _forward_values(root: Path, points_file: Path) -> list[complex]:
+    res = _run(root, ["-c", _FORWARD, str(points_file)], ["src"], points_file.parent)
+    if res.returncode:
+        sys.exit(f"error: {root} cannot evaluate sc_forward:\n{res.stderr.decode()}")
+    return [complex(x, y) for x, y in json.loads(res.stdout)]
+
+
+def _compare_forward(parent: Path, change: Path, tmp: str) -> int:
+    """Print the forward grid's per-region agreement; return its number of differences."""
+    points = forward_grid()
+    points_file = Path(tmp, "forward-grid.json")
+    points_file.write_text(json.dumps([[z.real, z.imag] for z in points]), encoding="utf-8")
+    sides = [_forward_values(root, points_file) for root in (parent, change)]
+    regions: dict[str, list] = {}
+    differences = 0
+    for z, a, b in zip(points, *sides):
+        gap = abs(a - b) / abs(b) if b else abs(a - b)
+        same = (a.real, a.imag) == (b.real, b.imag)
+        if (not z.imag and not same) or gap > FORWARD_GAP:
+            print(f"forward grid: sc_forward({z!r}): {a!r} against {b!r}")
+            differences += 1
+        counts = regions.setdefault(_forward_region(z), [0, 0, 0.0])
+        counts[0] += 1
+        counts[1] += same
+        counts[2] = max(counts[2], gap)
+    for name, (total, same, gap) in regions.items():
+        print(f"forward grid: {name}: {same}/{total} bit-identical, largest relative gap {gap:.3g}")
+    return differences
+
+
 def _run(root: Path, argv: list[str], paths: list[str], cwd: Path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(root / p) for p in paths))
     return subprocess.run([sys.executable, *argv], env=env, cwd=cwd, capture_output=True)
@@ -263,6 +349,7 @@ def main(argv=None) -> int:
                 if fields:
                     print(f"{title}: {a[0]}: {', '.join(fields)} differ")
                     differences += 1
+        differences += _compare_forward(args.parent.resolve(), args.change.resolve(), tmp)
     print(f"{ops} ops compared, {differences} differences")
     return 1 if differences else 0
 
