@@ -24,7 +24,7 @@ from .errors import (CyclicGroupUnsupported, InfiniteGroup, NumericalAmbiguity,
                      TrivialGroup)
 from .grouptypes import GroupType, classify_census, parse_group_tag
 from .moebius import (DEFAULT_ORDER_CAP, PROJECTIVE_TOL, MoebiusTransform,
-                      SpherePoint, chordal_gap, element_orders, fixed_points,
+                      SpherePoint, _fixed_points, chordal_gap, element_orders,
                       homogeneous, normalizing_root, normalizing_roots,
                       projective_gap, standard_generators)
 
@@ -318,7 +318,7 @@ def orbit_analysis(g: FiniteMoebiusGroup) -> OrbitData:
     moving = g.stack[projective_gap(g.stack, np.eye(2)) >= PROJECTIVE_TOL]
     if not len(moving):
         raise TrivialGroup("the trivial group fixes everything")
-    points = [p for m in moving for p in fixed_points(MoebiusTransform.from_normalized(m))]
+    points = [p for row in moving.reshape(-1, 4).tolist() for p in _fixed_points(*row)]
     coords = np.array([homogeneous(p) for p in points])
     leads = np.empty(len(points), dtype=bool)
     for lo in range(0, len(points), CLUSTER_BLOCK):

@@ -47,7 +47,7 @@ import numpy as np
 from .errors import CyclicGroupUnsupported, StencilOutOfDomain, UnsupportedType
 from .finite_groups import (FiniteMoebiusGroup, averaged_hermitian_form,
                             orbit_analysis, unitarize)
-from .moebius import MoebiusTransform, as_sphere_point, from_triple
+from .moebius import MoebiusTransform, as_sphere_point, homogeneous, triple_stack
 
 DEFAULT_CURVATURE_STEP = 1e-3
 DEFAULT_SAMPLES = 200
@@ -300,20 +300,16 @@ def orbit_triple_matrices(g: FiniteMoebiusGroup) -> np.ndarray:
 
     Orbits are sorted by decreasing size; triples run over the product of
     the three orbits, once per size-preserving reassignment of the orbit
-    roles (orbits of equal size cannot be told apart).
+    roles (orbits of equal size cannot be told apart).  Each matrix is
+    ``from_triple``'s, read from homogeneous coordinates taken once per point.
     """
     data = orbit_analysis(g)
     sizes = data.sizes
     assignments = [p for p in itertools.permutations(range(3))
                    if all(sizes[p[i]] == sizes[i] for i in range(3))]
-    mats = []
-    for assign in assignments:
-        triples = itertools.product(data.orbits[assign[0]].points,
-                                    data.orbits[assign[1]].points,
-                                    data.orbits[assign[2]].points)
-        for p0, p1, p2 in triples:
-            mats.append(from_triple(p0, p1, p2).matrix)
-    return np.array(mats)
+    coords = [[homogeneous(p) for p in orbit.points] for orbit in data.orbits]
+    return triple_stack(itertools.chain.from_iterable(
+        itertools.product(*(coords[k] for k in assign)) for assign in assignments))
 
 
 def orbit_triple_metric(g: FiniteMoebiusGroup) -> ConformalMetric:

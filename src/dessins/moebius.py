@@ -357,9 +357,13 @@ def fixed_points(m: MoebiusTransform):
     Finite solutions solve c z^2 + (d - a) z - b = 0; infinity is fixed
     exactly when c = 0.
     """
-    if m.is_identity():
+    if projective_gap(m.matrix, _EYE) < PROJECTIVE_TOL:
         return ALL_POINTS
-    a, b, c, d = m.a, m.b, m.c, m.d
+    return _fixed_points(*m.matrix.ravel().tolist())
+
+
+def _fixed_points(a: complex, b: complex, c: complex, d: complex) -> tuple[SpherePoint, ...]:
+    """``fixed_points`` of the non-identity matrix with entries a, b, c, d."""
     if c == 0:
         if abs(d - a) < 1e-14:
             return (INFINITY,)  # translation: single parabolic point
@@ -397,6 +401,30 @@ def from_triple(p0, p1, p_inf) -> MoebiusTransform:
     if abs(_det(*m)) < 1e-14:  # det(b, a) det(c, b) det(c, a): zero when two targets coincide
         raise DegenerateTriple("target points coincide or are numerically indistinct")
     return MoebiusTransform(m)
+
+
+def triple_stack(triples) -> np.ndarray:
+    """``from_triple``'s matrices for triples of homogeneous targets, as one (N, 2, 2) stack.
+
+    The columns and the DegenerateTriple test are ``from_triple``'s Python
+    arithmetic and one ``normalizing_roots`` call normalizes the stack, so
+    every matrix and the first error, in triple order, are ``from_triple``'s.
+    """
+    rows, degenerate = [], False
+    for a, b, c in triples:
+        u, v = b[0] * a[1] - b[1] * a[0], c[0] * b[1] - c[1] * b[0]
+        row = (u * c[0], v * a[0], u * c[1], v * a[1])
+        if abs(row[0] * row[3] - row[1] * row[2]) < 1e-14:
+            degenerate = True
+            break
+        rows.append(row)
+    stack = np.array(rows, dtype=complex).reshape(-1, 4)
+    roots, error = normalizing_roots(stack)
+    if error is not None:  # a determinant that overflows before the degenerate triple
+        raise error
+    if degenerate:
+        raise DegenerateTriple("target points coincide or are numerically indistinct")
+    return (stack / roots[:, None]).reshape(-1, 2, 2)
 
 
 def standard_generators(t: GroupType) -> list[MoebiusTransform]:

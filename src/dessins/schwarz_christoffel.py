@@ -24,7 +24,8 @@ and a forward call is made only for a step too long for those rules.
 Every decision that ends the iteration is taken on the forward map: a
 carried residual below the tolerance is confirmed by one forward call,
 and a step that does not lower the residual raises NoConvergence only
-once the map shows it, which off the triangle comes within a few steps.
+once the map shows it.  A target off the triangle by more than the side
+test's tolerance raises NoConvergence before Newton starts.
 Within about 7e-3 of the pi/3 vertex the vertex series is itself the
 preimage to rounding, closer than any Newton residual test can reach.
 
@@ -315,7 +316,8 @@ def sc_inverse(w) -> complex:
     the iteration is taken on the forward map: a carried residual below the
     tolerance is confirmed before z is returned, and a step that does not
     lower the residual raises NoConvergence only after the map itself shows
-    it; off the triangle that comes within a few steps.
+    it.  A target that fails the triangle's side test (``_in_triangle`` at
+    its 1e-9 tolerance) raises NoConvergence before the first step.
     Within about 7e-3 of the pi/3 vertex w = 1 the preimage is the vertex
     series -1 + sigma^3, which is exact to rounding there.
     """
@@ -325,6 +327,8 @@ def sc_inverse(w) -> complex:
     tm = triangle_map()
     if w == tm.vertices[2]:
         raise ValueError(f"{w} is the pi/6 vertex, the image of the point at infinity")
+    if not _in_triangle(w, tm.vertices):
+        raise NoConvergence(f"{w} fails the side test of the triangle, so Newton cannot invert it")
     sigma = _pi3_sigma(w, tm)
     if abs(sigma) <= _PI3_SERIES_RADIUS:
         return _upper(-1.0 + sigma * sigma * sigma)
@@ -373,10 +377,11 @@ _HALFPLANE_NORMALIZATION = MoebiusTransform([[1, 0], [1, 1]])
 
 
 def _in_triangle(p: complex, tri, tol: float = 1e-9) -> bool:
-    signs = []
-    for a, b in zip(tri, tri[1:] + tri[:1]):
-        signs.append(((b - a).conjugate() * (p - a)).imag)
-    return all(s >= -tol for s in signs) or all(s <= tol for s in signs)
+    a, b, c = tri
+    s1 = ((b - a).conjugate() * (p - a)).imag
+    s2 = ((c - b).conjugate() * (p - b)).imag
+    s3 = ((a - c).conjugate() * (p - c)).imag
+    return (s1 >= -tol and s2 >= -tol and s3 >= -tol) or (s1 <= tol and s2 <= tol and s3 <= tol)
 
 
 def _reflect(p: complex, q1: complex, q2: complex) -> complex:

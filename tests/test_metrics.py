@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import struct
@@ -172,6 +173,28 @@ def test_orbit_triple_metric_values():
     s4 = mt.orbit_triple_metric(fg.from_type("S4"))
     ks = mt.curvature_samples(s4, "finite", grid)
     assert ks.max() - ks.min() > 1e-3
+
+
+def _oracle_orbit_triple_matrices(g):
+    """The per-triple version: one from_triple transformation per orbit triple."""
+    data = fg.orbit_analysis(g)
+    sizes = data.sizes
+    mats = []
+    for assign in itertools.permutations(range(3)):
+        if all(sizes[assign[i]] == sizes[i] for i in range(3)):
+            triples = itertools.product(*(data.orbits[k].points for k in assign))
+            mats.extend(mb.from_triple(*t).matrix for t in triples)
+    return np.array(mats)
+
+
+@pytest.mark.parametrize("tag", ["D2", "D3", "D4", "D5", "D6", "A4", "S4", "A5"])
+def test_orbit_triple_matrices_match_from_triple(tag):
+    # A4 and the dihedral groups have two orbits of one size, so their roles swap
+    rng = np.random.default_rng(sum(map(ord, tag)))
+    base = fg.from_type(tag)
+    for g in [base] + [fg.conjugate_group(base, fg.random_conjugator(rng, c)) for c in (2.5, 100.0)]:
+        got, want = mt.orbit_triple_matrices(g), _oracle_orbit_triple_matrices(g)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_curvature_reference_values():

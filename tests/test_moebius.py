@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dessins import finite_groups as fg
 from dessins import moebius as mb
 from dessins.errors import DegenerateTriple, PoleEvaluation, UnsupportedType
 from dessins.grouptypes import GroupType
@@ -113,6 +114,96 @@ def test_fixed_points():
     assert len(fp) == 2 and abs(vals[0] + 1) < 1e-12 and abs(vals[1] - 1) < 1e-12
     fp = mb.fixed_points(mb.MoebiusTransform.translation(1.0))
     assert len(fp) == 1 and fp[0].is_infinity
+
+
+# The seed's fixed_points (a transformation's identity test, then its entries
+# through the properties), kept as the oracle of the entry routine.
+
+def _oracle_fixed_points(m):
+    if m.is_identity():
+        return mb.ALL_POINTS
+    a, b, c, d = m.a, m.b, m.c, m.d
+    if c == 0:
+        if abs(d - a) < 1e-14:
+            return (mb.INFINITY,)
+        return (mb.SpherePoint(b / (d - a)), mb.INFINITY)
+    bb = d - a
+    disc = bb * bb + 4.0 * c * b
+    root = cmath.sqrt(disc)
+    if abs(bb + root) < abs(bb - root):
+        root = -root
+    s = -0.5 * (bb + root)
+    if abs(s) < 1e-300:
+        return (mb.SpherePoint(0j),)
+    z1 = s / c
+    z2 = -b / s
+    if abs(disc) < 1e-14 * max(1.0, abs(bb) ** 2):
+        return (mb.SpherePoint((z1 + z2) / 2.0),)
+    return (mb.SpherePoint(z1), mb.SpherePoint(z2))
+
+
+def _parabolic(p):
+    """A parabolic transformation fixing only the finite point p: c = -1, d - a = 2p."""
+    return mb.MoebiusTransform([[1 - p, p * p], [-1, 1 + p]])
+
+
+@pytest.mark.parametrize("m, count", [
+    pytest.param(mb.MoebiusTransform.scaling(2.5 - 1j), 2, id="scaling"),
+    pytest.param(mb.MoebiusTransform([[3, 1 + 2j], [0, 1]]), 2, id="affine"),
+    pytest.param(mb.MoebiusTransform.translation(0.7 - 2j), 1, id="translation"),
+    pytest.param(mb.MoebiusTransform([[1, 0], [1, 1]]), 1, id="parabolic-at-0"),
+    pytest.param(_parabolic(0.3 + 0.7j), 1, id="parabolic"),
+    pytest.param(_parabolic(-4.0 + 1e-3j), 1, id="parabolic-far"),
+])
+def test_entry_fixed_points_match_oracle_off_group_branches(m, count):
+    want = _oracle_fixed_points(m)
+    assert len(want) == count
+    for got in (mb._fixed_points(*m.matrix.ravel().tolist()), mb.fixed_points(m)):
+        assert got == want and repr(got) == repr(want)
+
+
+def test_fixed_points_match_oracle_on_group_elements():
+    # the identity test against the constant identity decides as the transformation's did
+    rng = np.random.default_rng(23)
+    near = mb.MoebiusTransform([[1, 0], [0, 1 + 1e-9]])
+    for m in (mb.MoebiusTransform.identity(), near, mb.MoebiusTransform.scaling(-1)):
+        assert mb.fixed_points(m) == _oracle_fixed_points(m)
+    for tag in ("D2", "D5", "A4", "S4", "A5"):
+        for c in (1.5, 100.0):
+            g = fg.conjugate_group(fg.from_type(tag), fg.random_conjugator(rng, c))
+            for m in g.elements:
+                assert repr(mb.fixed_points(m)) == repr(_oracle_fixed_points(m))
+
+
+def _triples(points):
+    return [tuple(mb.homogeneous(p) for p in t) for t in points]
+
+
+def test_triple_stack_matches_from_triple():
+    rng = np.random.default_rng(29)
+    points = [tuple(complex(*rng.uniform(-3, 3, 2)) for _ in range(3)) for _ in range(200)]
+    points += [(mb.INFINITY, 0.5, 2j), (1.0, mb.INFINITY, -1j), (0.0, 1.0, mb.INFINITY),
+               (1e150, -1e-150j, 3.0)]
+    got = mb.triple_stack(_triples(points))
+    want = np.array([mb.from_triple(*t).matrix for t in points])
+    assert got.shape == (len(points), 2, 2) and got.tobytes() == want.tobytes()
+    assert mb.triple_stack([]).shape == (0, 2, 2)
+
+
+def test_triple_stack_raises_from_triples_first_error():
+    fine, coincident, overflowing = (0.0, 1.0, 2j), (1.0, 1.0, mb.INFINITY), (1e200, 2e200j, -3e200)
+    with pytest.raises(ValueError) as want:
+        mb.from_triple(*overflowing)
+    assert "overflows" in str(want.value)
+    for points, error in (([fine, coincident], DegenerateTriple),
+                          ([fine, overflowing], ValueError),
+                          ([coincident, overflowing], DegenerateTriple),
+                          ([fine, overflowing, coincident], ValueError)):
+        with pytest.raises(error) as got:
+            mb.triple_stack(_triples(points))
+        assert type(got.value) is error
+        if error is ValueError:
+            assert str(got.value) == str(want.value)
 
 
 def test_standard_generators():

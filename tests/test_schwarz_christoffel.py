@@ -587,14 +587,46 @@ _OFF_TRIANGLE = [2, -1 + 1j, 0.5 + 0.5j, 10 + 10j, 0.5 - 2j, -0.1, 1.1 - 0.1j, 0
                  -3.56e39 - 6.57e38j, -1.04e45 - 1.64e46j]
 
 
+def _oracle_in_triangle(p, tri, tol=1e-9):
+    """The side test as a loop over the edges."""
+    signs = [((b - a).conjugate() * (p - a)).imag for a, b in zip(tri, tri[1:] + tri[:1])]
+    return all(s >= -tol for s in signs) or all(s <= tol for s in signs)
+
+
+def test_side_test_matches_loop_oracle():
+    tri = sc.triangle_map().vertices
+    rng = np.random.default_rng(43)
+    points = [complex(rng.uniform(-0.5, 1.5), rng.uniform(-2.0, 0.5)) for _ in range(500)]
+    points += _OFF_TRIANGLE
+    for a, b in zip(tri, tri[1:] + tri[:1]):  # across each side, within and beyond the tolerance
+        points += [(a + b) / 2 + d * 1j * (b - a) / abs(b - a)
+                   for d in (-1e-8, -4e-10, 0.0, 4e-10, 1e-8)]
+    assert sum(sc._in_triangle(p, tri) for p in points) > 50
+    for p in points:
+        assert sc._in_triangle(p, tri) == _oracle_in_triangle(p, tri)
+
+
 @pytest.mark.parametrize("w", _OFF_TRIANGLE)
 def test_inverse_off_the_triangle_fails_fast(w, monkeypatch):
-    # the first step that does not lower the residual ends the iteration;
-    # measured at most 16 forward calls, and none where every series overflows
+    # every target lies off the triangle by more than the side test's
+    # tolerance, so it is rejected before a single forward call
     calls = _count_forward_calls(monkeypatch)
-    with pytest.raises(NoConvergence):
+    with pytest.raises(NoConvergence, match="side test"):
         sc.sc_inverse(w)
-    assert calls[0] <= 16
+    assert calls[0] == 0
+
+
+@pytest.mark.parametrize("side", range(3))
+def test_inverse_within_the_side_tolerance_goes_through_newton(side, monkeypatch):
+    # 4e-10 outside a side's midpoint: within the side test's 1e-9 (at most
+    # twice the distance, the longest side being 2), but beyond Newton's tolerance
+    vertices = sc.triangle_map().vertices
+    a, b = vertices[side], vertices[(side + 1) % 3]
+    w = (a + b) / 2 + 4e-10j * (b - a) / abs(b - a)  # the triangle runs clockwise
+    calls = _count_forward_calls(monkeypatch)
+    with pytest.raises(NoConvergence, match="Newton failed"):
+        sc.sc_inverse(w)
+    assert calls[0] > 0
 
 
 # ---------------------------------------------------------------------------

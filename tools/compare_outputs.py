@@ -20,7 +20,9 @@ the identity.  It also feeds the generator files of ``_fixed_generators()``
 to ``metric``: a serialized icosahedral group, whose second closure round has
 3481 products that all repeat an element, part of it, whose round of 144
 products registers new elements, and two perturbed lists that end in a
-``NumericalAmbiguity``.
+``NumericalAmbiguity``.  The ``orbit`` construction, whose workload ops stop
+at 192 orbit triples, runs on the serialized icosahedral group and on the
+tags of ``ORBIT_GROUPS``: S4 (576 triples) and A5 (7200).
 
 Last, both checkouts evaluate ``sc_forward`` on the fixed points of
 ``forward_grid()``: a grid of the upper half-plane over every region of the
@@ -293,9 +295,25 @@ def _info(path: Path) -> list[str]:
     return ["info", str(path)]
 
 
-def _metric(path: Path) -> list[str]:
-    return ["metric", "--generators", str(path), "--construction", "average", "--grid", "8",
-            "--out", str(path.with_suffix(".csv"))]
+def _metric(construction: str):
+    """The command of ``metric --construction construction`` on a generator file."""
+    def command(path: Path) -> list[str]:
+        return ["metric", "--generators", str(path), "--construction", construction,
+                "--grid", "8", "--out", str(path.with_suffix(".csv"))]
+    return command
+
+
+# (tag, output format) of the orbit-construction runs on group tags
+ORBIT_GROUPS = (("S4", "json"), ("A5", "csv"))
+
+
+def _orbit_group_side(root: Path, workdir: Path) -> list[tuple]:
+    """``metric --construction orbit`` on each tag of ORBIT_GROUPS, as _side reports its ops."""
+    workdir.mkdir(parents=True)
+    argvs = [["metric", "--group", tag, "--construction", "orbit", "--grid", "8",
+              "--format", fmt, "--out", str(workdir / f"orbit-{tag}.{fmt}")]
+             for tag, fmt in ORBIT_GROUPS]
+    return _cli_results(root, argvs, workdir)
 
 
 def _cli_results(root: Path, argvs: list[list[str]], workdir: Path) -> list[tuple]:
@@ -316,18 +334,25 @@ def _cli_results(root: Path, argvs: list[list[str]], workdir: Path) -> list[tupl
 
 def _runs(parent: Path, change: Path, seeds: list[int], tmp: str):
     """(title, [parent results, change results]) of each workload and seed, then of the
-    malformed and the fixed dessins and of the fixed generators, one run at a time."""
+    malformed and the fixed dessins, of the fixed generators and of the fixed orbit
+    runs, one run at a time."""
     roots = (("parent", parent), ("change", change))
     for workload in WORKLOADS:
         for seed in seeds:
             yield f"{workload} seed {seed}", [
                 _side(root, workload, seed, Path(tmp, f"{workload}-{seed}", name))
                 for name, root in roots]
-    for title, files, command in (("malformed dessins", MALFORMED_DESSINS, _info),
-                                  ("fixed dessins", _fixed_dessins(), _info),
-                                  ("fixed generators", _fixed_generators(), _metric)):
+    generators = _fixed_generators()
+    for title, files, command in (
+            ("malformed dessins", MALFORMED_DESSINS, _info),
+            ("fixed dessins", _fixed_dessins(), _info),
+            ("fixed generators", generators, _metric("average")),
+            ("fixed orbit generators", {"a5-serialized": generators["a5-serialized"]},
+             _metric("orbit"))):
         yield title, [_file_side(root, Path(tmp, title.replace(" ", "-"), name), files, command)
                       for name, root in roots]
+    yield "fixed orbit groups", [_orbit_group_side(root, Path(tmp, "fixed-orbit-groups", name))
+                                 for name, root in roots]
 
 
 def main(argv=None) -> int:
