@@ -1,9 +1,9 @@
 """Finite Moebius groups as read-only (order, 2, 2) stacks of determinant-1 matrices.
 
 Groups are built by breadth-first closure of a generating set with
-projective deduplication (each product is compared exactly only with the
-elements whose sort key lies near its own), keep the generators
-they were closed from, are classified through their element-order census
+projective deduplication (each product is compared, in Python arithmetic,
+only with the elements whose sort key lies near its own), keep the
+generators they were closed from, are classified through their order census
 (element orders in closed form from the traces), and are conjugated into
 the rotation group by averaging the Hermitian forms A^H A over the stack
 (the averaged form H is positive definite; its triangular factor conjugates
@@ -20,8 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (CyclicGroupUnsupported, InfiniteGroup, NumericalAmbiguity,
-                     TrivialGroup)
+from .errors import CyclicGroupUnsupported, InfiniteGroup, NumericalAmbiguity, TrivialGroup
 from .grouptypes import GroupType, classify_census, parse_group_tag
 from .moebius import (DEFAULT_ORDER_CAP, PROJECTIVE_TOL, MoebiusTransform,
                       SpherePoint, _fixed_points, chordal_gap, element_orders,
@@ -104,38 +103,45 @@ def classify_elements(elements) -> GroupType:
 
 
 class _KeyIndex:
-    """Rows of a stack sorted by the sign-free key |Re(c . vec M)| of ``_keys``.
+    """Matrices as their entries (a, b, c, d), sorted by the sign-free key |Re(c . vec M)|.
 
     For a fixed generic complex c, |Re(c . vec M)| - |Re(c . vec N)| is at most
-    sum|c_i| times projective_gap(M, N), so every row within 10 * PROJECTIVE_TOL
-    of a matrix has its key within ``_keys``' reach of the matrix's key, and
-    only the rows in that window are compared exactly.
+    sum|c_i| times projective_gap(M, N), so every matrix within 10 * PROJECTIVE_TOL
+    of another has its key within ``_keys``' reach of the other's key, and
+    only the matrices in that window are compared exactly.
     """
 
-    def __init__(self, stack: np.ndarray):
-        self.stack = stack
-        self.keys: list[float] = []  # ascending
-        self.rows: list[int] = []  # the stack row of each key
+    def __init__(self):
+        self.keys, self.entries = [], []  # keys ascending, and the entries of each
 
-    def add(self, row: int, key: float):
+    def add(self, key: float, entries: list[complex]):
         at = bisect.bisect(self.keys, key)
         self.keys.insert(at, key)
-        self.rows.insert(at, row)
+        self.entries.insert(at, entries)
 
-    def nearest(self, m: np.ndarray, key: float, reach: float):
-        """projective_gap(rows, m).min() bit for bit when it is below 10 * PROJECTIVE_TOL,
-        else at least that (inf when no row is in the window)."""
+    def nearest(self, m: list[complex], key: float, reach: float, unclipped: bool) -> float:
+        """The least projective_gap from the entries m to the matrices in its key window (inf if
+        none), by Python's abs; numpy's, which may differ in the last bit, decides in _GAP_BAND."""
         lo = bisect.bisect_left(self.keys, key - reach)
         hi = bisect.bisect_right(self.keys, key + reach, lo)
         if lo == hi:
             return np.inf
-        if hi - lo == 1:  # the usual window: one row, by basic indexing
-            return projective_gap(self.stack[self.rows[lo]], m)
-        return projective_gap(self.stack[self.rows[lo:hi]], m).min()
+        a, b, c, d = m
+        best = np.inf if unclipped else PROJECTIVE_TOL  # else inf - inf: nan, which max drops
+        try:
+            for p, q, r, s in self.entries[lo:hi] if unclipped else ():
+                best = min(best, max(abs(a - p), abs(b - q), abs(c - r), abs(d - s)),
+                           max(abs(a + p), abs(b + q), abs(c + r), abs(d + s)))
+        except OverflowError:  # where numpy's abs gives inf
+            best = PROJECTIVE_TOL
+        if _GAP_BAND[0] <= best <= _GAP_BAND[1]:
+            best = projective_gap(np.reshape(self.entries[lo:hi], (-1, 2, 2)),
+                                  np.reshape(m, (2, 2))).min()
+        return best
 
     def nearest_many(self, block: np.ndarray, keys: np.ndarray, reaches: np.ndarray) -> np.ndarray:
-        """``nearest`` of each matrix of a (B, 2, 2) block, in one gap table of its windows."""
-        order, rows = np.array(self.keys), np.array(self.rows, dtype=np.intp)
+        """``nearest`` of each matrix of a (B, 2, 2) block by numpy, in one gap table."""
+        order, stack = np.array(self.keys), np.reshape(self.entries, (-1, 2, 2))
         lo = order.searchsorted(keys - reaches, "left")
         counts = order.searchsorted(keys + reaches, "right") - lo
         best = np.full(len(block), np.inf)
@@ -144,11 +150,12 @@ class _KeyIndex:
             starts = np.cumsum(counts) - counts
             owner = np.repeat(np.arange(len(block)), counts)
             at = np.arange(starts[-1] + counts[-1]) + np.repeat(lo - starts, counts)
-            gaps = projective_gap(self.stack[rows[at]], block[owner])
+            gaps = projective_gap(stack[at], block[owner])
             best[hit] = np.minimum.reduceat(gaps, starts[hit])
         return best
 
 
+_GAP_BAND = (PROJECTIVE_TOL * (1 - 1e-12), 10 * PROJECTIVE_TOL * (1 + 1e-12))  # numpy decides
 # The key's c, and its factors of the real and imaginary parts of vec M:
 # Re(c z) = c.re z.re - c.im z.im.  A window reaches 10 * PROJECTIVE_TOL * sum|c_i|
 # (widened by 1e-6 of itself) plus _KEY_ROUNDING times sum |part * factor|, which
@@ -169,40 +176,26 @@ def _keys(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(parts @ _KEY_PARTS), _KEY_REACH + _KEY_ROUNDING * (np.abs(parts) @ _KEY_WEIGHTS)
 
 
-def _key(a: complex, b: complex, c: complex, d: complex) -> tuple[float, float]:
-    """``_keys`` of one matrix from its entries, in Python arithmetic, which never warns;
-    the reach is taken from sum |c_i| |entry i|, which bounds the sum over the parts."""
+def _key(a: complex, b: complex, c: complex, d: complex) -> tuple[float, float, bool]:
+    """``_keys`` of one matrix from its entries, in Python arithmetic, which never warns,
+    and whether no part is clipped; the reach is from sum |c_i| |entry i|, over that of parts."""
     m0, m1, m2, m3 = _KEY_MODULI
     scale = m0 * abs(a) + m1 * abs(b) + m2 * abs(c) + m3 * abs(d)
     if not scale < _KEY_UNCLIPPED:  # a part may reach the clip, or is not finite
         keys, reaches = _keys(np.array([a, b, c, d], dtype=complex))
-        return float(keys[0]), float(reaches[0])
+        return float(keys[0]), float(reaches[0]), False
     c0, c1, c2, c3 = _KEY_FACTORS
-    return abs((c0 * a + c1 * b + c2 * c + c3 * d).real), _KEY_REACH + _KEY_ROUNDING * scale
+    return abs((c0 * a + c1 * b + c2 * c + c3 * d).real), _KEY_REACH + _KEY_ROUNDING * scale, True
 
 
 def _product_blocks(frontier: np.ndarray, factors: np.ndarray):
     """Products w g of the frontier rows w with the factors g, frontier-major and normalized
-    as MoebiusTransform normalizes them, as (block, error) in blocks of about CLOSURE_BLOCK.
-
-    ``error`` is the ValueError of the first product that cannot be normalized;
-    its block ends before it, and no block follows.  A round of fewer than
-    CLOSURE_BULK products calls normalizing_root once per product, a larger
-    one normalizing_roots once per block.
-    """
+    as MoebiusTransform normalizes them, as (block, error) in blocks of about CLOSURE_BLOCK;
+    ``error`` ends the last block, before the first product that cannot be normalized."""
     step = max(1, CLOSURE_BLOCK // len(factors))
     for lo in range(0, len(frontier), step):
         products = np.matmul(frontier[lo:lo + step, None], factors[None]).reshape(-1, 2, 2)
-        if len(frontier) * len(factors) >= CLOSURE_BULK:
-            roots, error = normalizing_roots(products.reshape(-1, 4))
-        else:
-            roots, error = [], None
-            try:
-                for row in products.reshape(-1, 4).tolist():
-                    roots.append(normalizing_root(*row))
-            except ValueError as exc:
-                error = exc
-            roots = np.array(roots, dtype=complex)
+        roots, error = normalizing_roots(products.reshape(-1, 4))
         yield products[:len(roots)] / roots[:, None, None], error
         if error is not None:
             return
@@ -213,20 +206,21 @@ def closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteMoebiusGroup:
 
     Round 1 registers the generators; every later frontier is multiplied by the
     ones it registered, in listed order, so a repeated or identity generator adds
-    no products.  Products are registered one at a time, in order, unless a
-    registered element lies within PROJECTIVE_TOL.  Registered elements are
-    found through ``_KeyIndex``: a block of CLOSURE_BULK or more first drops,
-    from one gap table of its key windows, the products matching an element
-    registered before the block.  Raises InfiniteGroup past ``cap`` elements,
-    NumericalAmbiguity between the dedup tolerance and ten times it, ValueError
-    where MoebiusTransform would.
+    no products.  Products are registered one at a time, in order, unless
+    ``_KeyIndex.nearest`` finds an element within PROJECTIVE_TOL.  A round of
+    fewer than CLOSURE_BULK products is one matmul and one division by its roots;
+    a larger one comes from ``_product_blocks``, and each block first drops, by
+    ``nearest_many``, the products matching an element registered before it.
+    Raises InfiniteGroup past ``cap`` elements, NumericalAmbiguity between the
+    dedup tolerance and ten times it, ValueError where MoebiusTransform would.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
     stack = np.empty((cap, 2, 2), dtype=complex)
-    stack[0] = np.eye(2)
-    index = _KeyIndex(stack)
-    index.add(0, _key(1, 0, 0, 1)[0])
+    flat = stack.reshape(cap, 4)  # a view, written one registered row of entries at a time
+    flat[0] = identity = [1 + 0j, 0j, 0j, 1 + 0j]
+    index = _KeyIndex()
+    index.add(_key(*identity)[0], identity)
     size = 1
     gens = np.array([MoebiusTransform(g.matrix).matrix for g in generators]).reshape(-1, 2, 2)
     blocks, factors = [(gens, None)], None
@@ -234,24 +228,19 @@ def closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteMoebiusGroup:
         start = size
         for block, error in blocks:
             if len(block) >= CLOSURE_BULK:
-                keys, reaches = _keys(block)
-                left = ~(index.nearest_many(block, keys, reaches) < PROJECTIVE_TOL)
-                block = block[left]
-                windows = zip(keys[left].tolist(), reaches[left].tolist())
-            else:
-                windows = (_key(*row) for row in block.reshape(-1, 4).tolist())
-            for m, (key, reach) in zip(block, windows):
-                best = index.nearest(m, key, reach)
+                block = block[~(index.nearest_many(block, *_keys(block)) < PROJECTIVE_TOL)]
+            for m in block.reshape(-1, 4).tolist():
+                key, reach, unclipped = _key(*m)
+                best = index.nearest(m, key, reach, unclipped)
                 if best < PROJECTIVE_TOL:
                     continue
                 if best < 10 * PROJECTIVE_TOL:
-                    raise NumericalAmbiguity(
-                        f"two elements at projective distance {best:.3e}; "
-                        "tighten the generators")
+                    raise NumericalAmbiguity(f"two elements at projective distance {best:.3e}; "
+                                             "tighten the generators")
                 if size == cap:
                     raise InfiniteGroup(f"closure exceeded {cap} elements")
-                stack[size] = m
-                index.add(size, key)
+                flat[size] = m
+                index.add(key, m)
                 size += 1
             if error is not None:  # raised once the rows before it are registered
                 raise error
@@ -259,7 +248,18 @@ def closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteMoebiusGroup:
             break
         if factors is None:  # the generators round 1 registered: no repeats, no identity
             factors = stack[1:size]
-        blocks = _product_blocks(stack[start:size], factors)
+        if (size - start) * len(factors) >= CLOSURE_BULK:
+            blocks = _product_blocks(stack[start:size], factors)
+            continue
+        products = np.matmul(stack[start:size, None], factors[None]).reshape(-1, 4)
+        roots, error = [], None
+        try:
+            for row in products.tolist():
+                roots.append(normalizing_root(*row))
+        except ValueError as exc:
+            error = exc
+        divisor = roots[0] if len(roots) == 1 else np.array(roots, dtype=complex)[:, None]
+        blocks = [(products[:len(roots)] / divisor, error)]
     stack = stack[:size].copy()
     return FiniteMoebiusGroup(stack, _classify(stack), gens)
 

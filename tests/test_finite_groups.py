@@ -416,6 +416,69 @@ def test_closure_matches_oracle_on_perturbed_a5():
     assert {"A5", NumericalAmbiguity} <= kinds
 
 
+def _python_gap(m, n):
+    """projective_gap(m, n) in Python arithmetic, whose abs is hypot."""
+    pairs = list(zip(m.ravel().tolist(), n.ravel().tolist()))
+    return min(max(abs(x - y) for x, y in pairs), max(abs(x + y) for x, y in pairs))
+
+
+def _nudged_squares(tol):
+    """Pairs [r, s]: r is z -> w^2 z (w = e^(i pi / 5)) and s is r r as round 2 forms it,
+    with t added at its top right, so round 2 finds its product r r at |t| from s.
+
+    Scaling an entry, as above, moves a gap in steps of an entry's ulp (about
+    1e-16); t moves it by the gap's own ulps.  The gap is put at tol or one ulp
+    below it, three pairs each, where Python's abs (hypot) differs from
+    numpy's so that its gap falls on the other side of tol.
+    """
+    (r,) = mb.standard_generators(parse_group_tag("C5"))
+    square = _oracle_closure([r])[0][2]
+    below = np.nextafter(tol, 0)
+    found = {below: [], tol: []}
+    for k in range(3000):
+        s = mb.MoebiusTransform(square + [[0, tol * cmath.exp(1j * k / 1000)], [0, 0]])
+        gap = mb.projective_gap(square, s.matrix)
+        if gap in found and (_python_gap(square, s.matrix) < tol) != (gap < tol):
+            found[gap].append([r, s])
+    return found[below][:3] + found[tol][:3]
+
+
+@pytest.mark.parametrize("tolerances", [1, 10])
+def test_closure_matches_oracle_where_a_gap_meets_a_tolerance(tolerances, monkeypatch):
+    tol = tolerances * mb.PROJECTIVE_TOL
+    pairs = _nudged_squares(tol)
+    calls = []
+
+    def counted(a, b):
+        calls.append(len(a))
+        return mb.projective_gap(a, b)
+
+    monkeypatch.setattr(fg, "projective_gap", counted)
+    # at a cap of 3 (I, r, s) a product r r that is registered, not dropped or
+    # refused, raises InfiniteGroup, so every side of every tolerance shows
+    outcomes = [_assert_closure_matches_oracle(pair, cap) for pair in pairs
+                for cap in (3, fg.DEFAULT_CLOSURE_CAP)]
+    assert len(pairs) == 6 and len(calls) >= 12  # the band gave r r to projective_gap
+    assert (NumericalAmbiguity,
+            f"two elements at projective distance {tol:.3e}; tighten the generators") in outcomes
+
+
+def test_closure_of_small_rounds_takes_no_numpy_gap(monkeypatch):
+    # every round of these has fewer than CLOSURE_BULK products, and no gap of
+    # them comes near a tolerance, so each is taken in Python arithmetic alone
+    calls = []
+
+    def counted(a, b):
+        calls.append(len(a))
+        return mb.projective_gap(a, b)
+
+    monkeypatch.setattr(fg, "projective_gap", counted)
+    assert fg.from_type("C140").order == 140 and fg.from_type("D50").order == 100
+    with pytest.raises(InfiniteGroup, match="closure exceeded 200 elements"):
+        fg.from_type("D101")
+    assert not calls
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_closure_matches_oracle_on_random_generators(seed):
     rng = np.random.default_rng(seed)
@@ -589,13 +652,14 @@ def test_closure_memory_is_bounded_on_a_serialized_a5():
 
 
 # The key index of closure against a whole-stack projective_gap scan: the
-# nearest gap is exact below 10 * PROJECTIVE_TOL and never smaller above it.
+# nearest gap is exact from PROJECTIVE_TOL to 10 * PROJECTIVE_TOL, within a few
+# ulps of it below, and never smaller than 10 * PROJECTIVE_TOL above.
 
 def _index_of(stack):
-    index = fg._KeyIndex(stack)
+    index = fg._KeyIndex()
     keys, _ = fg._keys(stack)
-    for row, key in enumerate(keys.tolist()):
-        index.add(row, key)
+    for key, entries in zip(keys.tolist(), stack.reshape(-1, 4).tolist()):
+        index.add(key, entries)
     return index
 
 
@@ -625,6 +689,16 @@ def _registered_sets(rng):
     yield np.concatenate([d7, -d7])  # every row twice, once sign-flipped
 
 
+def _assert_nearest_matches_scan(found, scan):
+    """found agrees with the whole-stack minimum scan on both sides of both tolerances."""
+    if scan >= 10 * mb.PROJECTIVE_TOL:
+        assert found >= 10 * mb.PROJECTIVE_TOL
+    elif scan >= fg._GAP_BAND[0]:
+        assert np.float64(found).tobytes() == scan.tobytes()
+    else:
+        assert abs(found - scan) <= 4 * np.spacing(scan) and found < mb.PROJECTIVE_TOL
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_key_index_nearest_matches_the_whole_stack_scan(seed):
     rng = np.random.default_rng(seed)
@@ -636,12 +710,16 @@ def test_key_index_nearest_matches_the_whole_stack_scan(seed):
         many = index.nearest_many(candidates, keys, reaches)
         for m, key, reach, bulk in zip(candidates, keys.tolist(), reaches.tolist(), many):
             scan = mb.projective_gap(stack, m).min()
-            python_key = fg._key(*m.ravel().tolist())
-            found = [index.nearest(m, key, reach), index.nearest(m, *python_key), bulk]
+            entries = m.ravel().tolist()
+            python_key = fg._key(*entries)
+            for found in (index.nearest(entries, key, reach, True),
+                          index.nearest(entries, *python_key),
+                          index.nearest(entries, key, reach, False)):  # by numpy alone
+                _assert_nearest_matches_scan(found, scan)
             if scan < 10 * mb.PROJECTIVE_TOL:
-                assert all(np.float64(f).tobytes() == scan.tobytes() for f in found)
+                assert bulk.tobytes() == scan.tobytes()
             else:
-                assert all(f >= scan for f in found)
+                assert bulk >= scan
         near = mb.projective_gap(stack[:, None], candidates[None]).min(axis=0)
         assert (near < mb.PROJECTIVE_TOL).any() and ((near > 2 * mb.PROJECTIVE_TOL)
                                                       & (near < 10 * mb.PROJECTIVE_TOL)).any()
@@ -655,12 +733,48 @@ def test_keys_stay_finite_and_find_every_row():
     rows[:2] = [[[1e308, 1e308], [-1e308, 1e308]], [[0, 0], [0, 0]]]
     rows[-2:] = [[[np.inf, 0], [0, 1]], [[complex(np.inf, -np.inf), 0], [0, 1]]]
     keys, reaches = fg._keys(rows)
-    python = np.array([fg._key(*row.ravel().tolist()) for row in rows])
-    assert np.isfinite(keys).all() and np.isfinite(reaches).all() and np.isfinite(python).all()
+    python = [fg._key(*row) for row in rows.reshape(-1, 4).tolist()]
+    assert np.isfinite(keys).all() and np.isfinite(reaches).all()
+    assert np.isfinite([key_reach for *key_reach, _ in python]).all()
+    assert [unclipped for *_, unclipped in python] == [False] + [True] * 297 + [False] * 2
     index = _index_of(rows[:-2])
     with np.errstate(over="ignore"):  # M + M overflows for the entries of 1e308
-        for m, key, reach, (python_key, python_reach) in zip(rows[:-2], keys, reaches, python):
-            assert index.nearest(m, key, reach) == index.nearest(m, python_key, python_reach) == 0
+        for m, key, reach, python_key in zip(rows[:-2].reshape(-1, 4).tolist(), keys, reaches,
+                                             python):
+            assert index.nearest(m, key, reach, python_key[2]) == index.nearest(m, *python_key) == 0
+    # an infinite entry meets inf - inf, whose nan numpy's gap keeps and Python's max may drop
+    infinite = rows[-1].ravel().tolist()
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(_index_of(rows[-1:]).nearest(infinite, *fg._key(*infinite)))
+
+
+def _gap_rows(rng, count):
+    """Random, huge (1e150 to 1e300), tiny and signed-zero entries, as rows (a, b, c, d)."""
+    def draw(size):
+        return rng.normal(size=size) + 1j * rng.normal(size=size)
+    scales = [np.ones((count, 1)), 10.0 ** rng.uniform(150, 300, (count, 1)),
+              10.0 ** rng.uniform(-320, -150, (count, 1))]
+    rows = [draw((count, 4)) * s for s in scales]
+    zeros = np.zeros((count, 4), dtype=complex)
+    zeros.real = np.copysign(0.0, rng.normal(size=(count, 4)))
+    zeros.imag = np.copysign(0.0, rng.normal(size=(count, 4)))
+    return np.concatenate(rows + [zeros])
+
+
+def test_python_window_gap_is_within_four_ulps_of_projective_gap():
+    # abs of a Python complex is hypot, which may differ from numpy's complex abs in
+    # the last bit; each window below is a whole index, so no key is involved
+    rng = np.random.default_rng(11)
+    registered = _gap_rows(rng, 20)
+    for m in _gap_rows(rng, 10):
+        one = registered[rng.integers(len(registered))][None]
+        for rows in (registered, one):
+            index = fg._KeyIndex()
+            for k, entries in enumerate(rows.tolist()):
+                index.add(float(k), entries)
+            scan = mb.projective_gap(rows.reshape(-1, 2, 2), m.reshape(2, 2)).min()
+            found = index.nearest(m.tolist(), 0.0, np.inf, True)
+            assert abs(found - scan) <= 4 * np.spacing(scan)
 
 
 def _normalizing_rows(rng):

@@ -19,10 +19,15 @@ so the candidates are compacted, and a dessin whose candidates die down to
 the identity.  It also feeds the generator files of ``_fixed_generators()``
 to ``metric``: a serialized icosahedral group, whose second closure round has
 3481 products that all repeat an element, part of it, whose round of 144
-products registers new elements, and two perturbed lists that end in a
-``NumericalAmbiguity``.  The ``orbit`` construction, whose workload ops stop
-at 192 orbit triples, runs on the serialized icosahedral group and on the
-tags of ``ORBIT_GROUPS``: S4 (576 triples) and A5 (7200).
+products registers new elements, two perturbed lists that end in a
+``NumericalAmbiguity``, and three rotation pairs whose second round meets a
+product within rounding of the dedup tolerance 1e-9 or of ten times it, the
+band where closure takes numpy's gap over its Python one.  The ``orbit``
+construction, whose workload ops stop at 192 orbit triples, runs on the
+serialized icosahedral group and on the tags of ``ORBIT_GROUPS``: S4 (576
+triples) and A5 (7200).  The tags of ``CAP_GROUPS`` close at and next to the
+closure cap of 200: C199, D99, C200 and D100 close, and C201 raises
+``InfiniteGroup``, compared by the last line of its traceback.
 
 Last, both checkouts evaluate ``sc_forward`` on the fixed points of
 ``forward_grid()``: a grid of the upper half-plane over every region of the
@@ -157,7 +162,8 @@ def _moved(m: tuple, c: tuple) -> tuple:
 
 def _fixed_generators() -> dict[str, str]:
     """Generator files that no workload op reaches, by name: the icosahedral group of the
-    package's standard pair, closed breadth-first here and moved by a fixed conjugator."""
+    package's standard pair, closed breadth-first here and moved by a fixed conjugator,
+    and pairs whose second closure round meets a product at a gap of about 1e-9 or 1e-8."""
     delta = cmath.exp(2j * cmath.pi / 5)
     q = cmath.sqrt(1 - delta - 1 / delta)
     pair = [_normalized((delta, 0, 0, 1)), _normalized((1, q, q, -1))]
@@ -177,6 +183,13 @@ def _fixed_generators() -> dict[str, str]:
         "a5-one-element-nudged": moved[:30] + [_moved(moved[30], nudge)] + moved[31:],
         "a5-pair-nudged": [_moved(pair[0], c), _moved(_moved(pair[1], nudge), c)],
     }
+    # z -> w z and the square of it with t at the top right: the product of the first
+    # with itself lies |t| (up to rounding) from the second
+    w = cmath.exp(1j * cmath.pi / 5)
+    r = _normalized((w, 0, 0, 1 / w))
+    square = _product(r, r)
+    for name, t in (("1e-9", 1e-9), ("6e-10+8e-10i", 6e-10 + 8e-10j), ("6e-9+8e-9i", 6e-9 + 8e-9j)):
+        files[f"c5-square-nudged-{name}"] = [r, (square[0], t, square[2], square[3])]
     return {name: json.dumps([[[z.real, z.imag] for z in m] for m in ms])
             for name, ms in files.items()}
 
@@ -303,16 +316,21 @@ def _metric(construction: str):
     return command
 
 
-# (tag, output format) of the orbit-construction runs on group tags
-ORBIT_GROUPS = (("S4", "json"), ("A5", "csv"))
+# (tag, construction, output format) of the metric runs on group tags: the orbit
+# construction, and closures that end one element either side of the cap of 200
+ORBIT_GROUPS = (("S4", "orbit", "json"), ("A5", "orbit", "csv"))
+CAP_GROUPS = (("C199", "conjugate", "csv"), ("C200", "average", "csv"),
+              ("C201", "average", "csv"), ("D99", "average", "json"),
+              ("D100", "conjugate", "csv"))
 
 
-def _orbit_group_side(root: Path, workdir: Path) -> list[tuple]:
-    """``metric --construction orbit`` on each tag of ORBIT_GROUPS, as _side reports its ops."""
+def _group_side(root: Path, workdir: Path, runs) -> list[tuple]:
+    """``metric --group tag`` for each (tag, construction, format) of runs, as _side
+    reports its ops."""
     workdir.mkdir(parents=True)
-    argvs = [["metric", "--group", tag, "--construction", "orbit", "--grid", "8",
-              "--format", fmt, "--out", str(workdir / f"orbit-{tag}.{fmt}")]
-             for tag, fmt in ORBIT_GROUPS]
+    argvs = [["metric", "--group", tag, "--construction", construction, "--grid", "8",
+              "--format", fmt, "--out", str(workdir / f"{construction}-{tag}.{fmt}")]
+             for tag, construction, fmt in runs]
     return _cli_results(root, argvs, workdir)
 
 
@@ -351,8 +369,9 @@ def _runs(parent: Path, change: Path, seeds: list[int], tmp: str):
              _metric("orbit"))):
         yield title, [_file_side(root, Path(tmp, title.replace(" ", "-"), name), files, command)
                       for name, root in roots]
-    yield "fixed orbit groups", [_orbit_group_side(root, Path(tmp, "fixed-orbit-groups", name))
-                                 for name, root in roots]
+    for title, runs in (("fixed orbit groups", ORBIT_GROUPS), ("fixed cap groups", CAP_GROUPS)):
+        yield title, [_group_side(root, Path(tmp, title.replace(" ", "-"), name), runs)
+                      for name, root in roots]
 
 
 def main(argv=None) -> int:
