@@ -30,7 +30,7 @@ from . import metrics as mt
 from . import schwarz_christoffel as sc
 from .errors import DessinsError, GenusMismatch, InfiniteGroup, MalformedInput
 from .finite_groups import (DEFAULT_CLOSURE_CAP, closure, conjugator_well_defined,
-                            is_in_SO3)
+                            element_order_cap, is_in_SO3)
 from .grouptypes import parse_group_tag
 from .moebius import MoebiusTransform, element_orders, standard_generators
 from .verification import run_checks
@@ -120,7 +120,8 @@ def _load_group(args):
         # closure registers a repeated entry once, so a serialized group closes
         # within its distinct entries and the identity
         cap = max(DEFAULT_CLOSURE_CAP, len({m.matrix.tobytes() for m in gens}) + 1)
-        orders = element_orders(np.array([m.matrix for m in gens]).reshape(-1, 2, 2), cap)
+        orders = element_orders(np.array([m.matrix for m in gens]).reshape(-1, 2, 2),
+                                element_order_cap(cap))
         if not orders.all():
             raise MalformedInput(f"generator {int(np.argmin(orders)) + 1} has no finite "
                                  f"order up to {cap}")

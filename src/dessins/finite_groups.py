@@ -1,8 +1,10 @@
 """Finite Moebius groups as read-only (order, 2, 2) stacks of determinant-1 matrices.
 
 Groups are built by breadth-first closure of a generating set with
-projective deduplication (each product is compared, in Python arithmetic,
-only with the elements whose sort key lies near its own), keep the
+projective deduplication (each product is normalized by ``normalizing_root``
+and compared, in Python arithmetic, only with the elements whose sort key
+lies near its own; a large round first drops, in numpy, the products that
+certainly repeat an element), keep the
 generators they were closed from, are classified through their order census
 (element orders in closed form from the traces), and are conjugated into
 the rotation group by averaging the Hermitian forms A^H A over the stack
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,14 +25,13 @@ import numpy as np
 
 from .errors import CyclicGroupUnsupported, InfiniteGroup, NumericalAmbiguity, TrivialGroup
 from .grouptypes import GroupType, classify_census, parse_group_tag
-from .moebius import (DEFAULT_ORDER_CAP, PROJECTIVE_TOL, MoebiusTransform,
+from .moebius import (_MAX_ORDER_CAP, DEFAULT_ORDER_CAP, PROJECTIVE_TOL, MoebiusTransform,
                       SpherePoint, _fixed_points, chordal_gap, element_orders,
-                      homogeneous, normalizing_root, normalizing_roots,
-                      projective_gap, standard_generators)
+                      homogeneous, normalizing_root, projective_gap, standard_generators)
 
 DEFAULT_CLOSURE_CAP = 200
-CLOSURE_BULK = 64  # rounds of this many products are normalized and matched as arrays
-CLOSURE_BLOCK = 2048  # products formed at once in such a round; bounds its temporaries
+CLOSURE_BULK = 64  # rounds of this many products first drop their certain repeats as arrays
+CLOSURE_BLOCK = 2048  # products formed at once in a round; bounds its temporaries
 CLUSTER_TOL = 1e-8  # chordal distance identifying sphere points
 CLUSTER_BLOCK = 256  # fixed points per gap table; bounds the temporary at 256 x points
 SPREAD_SAMPLES = 200  # sphere samples per comparison of two conjugated metrics
@@ -89,9 +91,19 @@ class OrbitData:
         return tuple(len(o.points) for o in self.orbits)
 
 
+def element_order_cap(n: int) -> int:
+    """The element-order cap of a group of up to n elements: n, and at least
+    DEFAULT_ORDER_CAP; NumericalAmbiguity past the largest cap that orders resolve at."""
+    if n > _MAX_ORDER_CAP:
+        raise NumericalAmbiguity(f"element orders cannot be resolved at tolerance "
+                                 f"{PROJECTIVE_TOL:g} in a group of up to {n} elements; "
+                                 f"the limit is {_MAX_ORDER_CAP}")
+    return max(DEFAULT_ORDER_CAP, n)
+
+
 def _classify(stack: np.ndarray) -> GroupType:
     # element orders divide the group order, which may exceed the default cap
-    orders = element_orders(stack, max(DEFAULT_ORDER_CAP, len(stack)))
+    orders = element_orders(stack, element_order_cap(len(stack)))
     if not orders.all():
         return GroupType.other()
     return classify_census(len(stack), dict(Counter(orders.tolist())))
@@ -189,18 +201,50 @@ def _key(a: complex, b: complex, c: complex, d: complex) -> tuple[float, float, 
 
 
 def _product_blocks(frontier: np.ndarray, factors: np.ndarray):
-    """Products w g of the frontier rows w with the factors g, frontier-major and normalized
-    as MoebiusTransform normalizes them, as (block, error) in blocks of about CLOSURE_BLOCK;
-    ``error`` ends the last block, before the first product that cannot be normalized."""
+    """Raw products w g of the frontier rows w with the factors g, frontier-major, in
+    (B, 2, 2) blocks of about CLOSURE_BLOCK."""
     step = max(1, CLOSURE_BLOCK // len(factors))
     for lo in range(0, len(frontier), step):
-        products = np.matmul(frontier[lo:lo + step, None], factors[None]).reshape(-1, 2, 2)
-        roots, error = normalizing_roots(products.reshape(-1, 4))
-        yield products[:len(roots)] / roots[:, None, None], error
-        if error is not None:
-            return
+        yield np.matmul(frontier[lo:lo + step, None], factors[None]).reshape(-1, 2, 2)
 
 
+def _repeats(block: np.ndarray, index: _KeyIndex) -> np.ndarray:
+    """Which raw products of a (B, 2, 2) block certainly repeat an indexed element.
+
+    Each product is divided by numpy's root of its determinant, taken with
+    Python's bits as in ``normalizing_root``.  That root is within about an ulp
+    of ``normalizing_root``'s, up to sign, so the quotient lies within a slack
+    of 64 eps times its largest entry of the exact one, and a product whose gap
+    plus the slack is below PROJECTIVE_TOL is one the exact lookup drops too.
+    A determinant ``normalizing_root`` rejects gives nan, which is never dropped.
+    """
+    a, b, c, d = block.reshape(-1, 4).T
+    with np.errstate(all="ignore"):
+        re = (a.real * d.real - a.imag * d.imag) - (b.real * c.real - b.imag * c.imag)
+        im = (a.real * d.imag + a.imag * d.real) - (b.real * c.imag + b.imag * c.real)
+        size = np.abs(re) + np.abs(im)  # at least hypot: the singular test, with room
+        det = np.where((2e-14 <= size) & (size <= sys.float_info.max), re + 1j * im, np.nan)
+        approx = block / np.sqrt(det)[:, None, None]
+        slack = 64 * np.finfo(float).eps * np.abs(approx).max(axis=(1, 2))
+        return index.nearest_many(approx, *_keys(approx)) + slack < PROJECTIVE_TOL
+
+
+def _normalized(products: np.ndarray) -> tuple[np.ndarray, ValueError | None]:
+    """The entries (a, b, c, d) of each product divided by its ``normalizing_root``, as
+    MoebiusTransform normalizes them, up to the first product that cannot be
+    normalized, and that product's ValueError (None if every one can)."""
+    rows = products.reshape(-1, 4)
+    roots, error = [], None
+    try:
+        for row in rows.tolist():
+            roots.append(normalizing_root(*row))
+    except ValueError as exc:
+        error = exc
+    divisor = roots[0] if len(roots) == 1 else np.array(roots, dtype=complex)[:, None]
+    return rows[:len(roots)] / divisor, error
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a product that overflows raises as a ValueError
 def closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteMoebiusGroup:
     """Breadth-first product closure with projective deduplication, one frontier per pass.
 
@@ -208,9 +252,10 @@ def closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteMoebiusGroup:
     ones it registered, in listed order, so a repeated or identity generator adds
     no products.  Products are registered one at a time, in order, unless
     ``_KeyIndex.nearest`` finds an element within PROJECTIVE_TOL.  A round of
-    fewer than CLOSURE_BULK products is one matmul and one division by its roots;
-    a larger one comes from ``_product_blocks``, and each block first drops, by
-    ``nearest_many``, the products matching an element registered before it.
+    fewer than CLOSURE_BULK products is one matmul; a larger one comes from
+    ``_product_blocks``, and each block first drops the products that
+    ``_repeats`` finds repeating an element registered before it.  The products
+    left are normalized by ``_normalized``, one ``normalizing_root`` each.
     Raises InfiniteGroup past ``cap`` elements, NumericalAmbiguity between the
     dedup tolerance and ten times it, ValueError where MoebiusTransform would.
     """
@@ -223,13 +268,11 @@ def closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteMoebiusGroup:
     index.add(_key(*identity)[0], identity)
     size = 1
     gens = np.array([MoebiusTransform(g.matrix).matrix for g in generators]).reshape(-1, 2, 2)
-    blocks, factors = [(gens, None)], None
+    blocks, factors = [(gens.reshape(-1, 4), None)], None
     while True:
         start = size
-        for block, error in blocks:
-            if len(block) >= CLOSURE_BULK:
-                block = block[~(index.nearest_many(block, *_keys(block)) < PROJECTIVE_TOL)]
-            for m in block.reshape(-1, 4).tolist():
+        for rows, error in blocks:
+            for m in rows.tolist():
                 key, reach, unclipped = _key(*m)
                 best = index.nearest(m, key, reach, unclipped)
                 if best < PROJECTIVE_TOL:
@@ -248,18 +291,12 @@ def closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteMoebiusGroup:
             break
         if factors is None:  # the generators round 1 registered: no repeats, no identity
             factors = stack[1:size]
-        if (size - start) * len(factors) >= CLOSURE_BULK:
-            blocks = _product_blocks(stack[start:size], factors)
-            continue
-        products = np.matmul(stack[start:size, None], factors[None]).reshape(-1, 4)
-        roots, error = [], None
-        try:
-            for row in products.tolist():
-                roots.append(normalizing_root(*row))
-        except ValueError as exc:
-            error = exc
-        divisor = roots[0] if len(roots) == 1 else np.array(roots, dtype=complex)[:, None]
-        blocks = [(products[:len(roots)] / divisor, error)]
+        frontier = stack[start:size]
+        if len(frontier) * len(factors) < CLOSURE_BULK:
+            blocks = [_normalized(np.matmul(frontier[:, None], factors[None]))]
+        else:  # lazy: each block drops its repeats of the elements registered before it
+            blocks = (_normalized(p[~_repeats(p, index)])
+                      for p in _product_blocks(frontier, factors))
     stack = stack[:size].copy()
     return FiniteMoebiusGroup(stack, _classify(stack), gens)
 

@@ -404,12 +404,14 @@ def invariance_defect(g: ConformalMetric, grp: FiniteMoebiusGroup,
 
     Invariance under the generators gives invariance under the group.  The
     pulled-back density is the kernel of the stack ``S @ h`` at the samples
-    themselves, so no sample is moved out to where its digits cancel.
+    themselves, so no sample is moved out to where its digits cancel.  A
+    generator listed again with the same bytes gives the same defect and is
+    read once.
     """
     p, r = _sample_points(samples)
     base = g._density(p, r)
     worst = 0.0
-    for h in grp.generators:
+    for h in {h.tobytes(): h for h in grp.generators}.values():
         moved = ConformalMetric(g.stack @ h, g.form)._density(p, r)
         worst = max(worst, float(np.max(np.abs(moved - base) / base)))
     return worst

@@ -169,14 +169,17 @@ def _shift_flip(k):
     return [[-1, 0], [2 * k, 0], [0, 0], [1, 0]]
 
 
-def test_metric_generator_list_above_the_order_cap_exit_2(tmp_path):
-    # 14012 distinct entries give a closure cap of 14013, past the order cap
+def test_metric_generator_list_above_the_order_cap_exit_2(tmp_path, monkeypatch):
+    # 14012 distinct entries give a closure cap of 14013, past the largest group
+    # whose element orders resolve; that is reported before any closure round
     path = tmp_path / "long.json"
     path.write_text(json.dumps([_shift_flip(k) for k in range(14012)]))
+    monkeypatch.setattr(cli, "closure", None)
     code, _, err = _run_quietly(["metric", "--generators", str(path), "--grid", "8",
                                  "--out", str(tmp_path / "g.csv")])
     assert code == 2
-    assert err == "error: invalid input: cap must be from 1 to 14012, got 14013\n"
+    assert err == ("error: NumericalAmbiguity: element orders cannot be resolved at tolerance "
+                   "1e-09 in a group of up to 14013 elements; the limit is 14012\n")
 
 
 def test_metric_repeated_generator_pair_closes_at_the_default_cap(tmp_path):
@@ -225,6 +228,17 @@ def test_metric_closes_serialized_group_without_its_identity(tmp_path, capsys):
                  "--grid", "8", "--out", str(tmp_path / "d101.csv")])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["group"] == {"order": 202, "type": "D101"}
+
+
+def test_metric_generators_whose_product_overflows_exit_2_without_a_warning(tmp_path):
+    # round 2 multiplies 1e300 by 1.0 and by 1e300: the matmul overflows, and the
+    # overflowing product is refused by its determinant, with no numpy warning
+    path = tmp_path / "gens.json"
+    path.write_text("[[[0, 0], [0, 1], [0, 1e300], [0, 0]], [[0, 0], [0, 1.0], [0, 1.0], [0, 0]]]")
+    code, _, err = _run_quietly(["metric", "--generators", str(path), "--grid", "4",
+                                 "--out", str(tmp_path / "g.csv")])
+    assert code == 2
+    assert err == "error: invalid input: matrix determinant overflows\n"
 
 
 def test_metric_generator_object_without_elements_exit_2(tmp_path):

@@ -539,6 +539,15 @@ def test_closure_of_a_repeated_infinite_pair_forms_the_products_of_the_pair(monk
     assert outcomes[0][0] == "closure exceeded 300 elements" and outcomes[0][1] > 0
 
 
+def test_closure_past_the_order_cap_raises_numerical_ambiguity():
+    # C14013 closes, but no element order of a group that large resolves at
+    # PROJECTIVE_TOL, so it has no census to classify
+    with pytest.raises(NumericalAmbiguity) as info:
+        fg.closure(mb.standard_generators(parse_group_tag("C14013")), 14013)
+    assert str(info.value) == ("element orders cannot be resolved at tolerance 1e-09 "
+                               "in a group of up to 14013 elements; the limit is 14012")
+
+
 @pytest.mark.parametrize("cap", [1, 120, 200])
 def test_element_orders_match_full_power_walk(cap):
     rng = np.random.default_rng(cap)
@@ -790,13 +799,16 @@ def _normalizing_rows(rng):
     return rows
 
 
-def test_normalizing_roots_match_normalizing_root_bit_for_bit():
+def test_normalized_matches_normalizing_root_bit_for_bit():
     rows = _normalizing_rows(np.random.default_rng(3))
-    roots, error = mb.normalizing_roots(rows)
-    expected = np.array([mb.normalizing_root(*row) for row in rows.tolist()])
+    normalized, error = fg._normalized(rows.reshape(-1, 2, 2))
+    expected = np.array([mb.MoebiusTransform(row.reshape(2, 2)).matrix for row in rows])
     assert error is None
-    assert roots.tobytes() == expected.tobytes()
-    assert np.signbit(roots.real[40:80]).all() and not np.signbit(roots.real[:40]).any()
+    assert normalized.tobytes() == expected.tobytes()
+    # the roots of -xy + 0j and -xy - 0j are i sqrt(xy) and -0.0 + i sqrt(xy), which
+    # show in the sign of the zero that b = 0 is divided into
+    assert np.signbit(normalized[40:80, 1].imag).all()
+    assert not np.signbit(normalized[:40, 1].imag).any()
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -805,15 +817,80 @@ def test_normalizing_roots_match_normalizing_root_bit_for_bit():
     ([1, 2, 2, 4], "matrix is singular"),
     ([1e-8, 0, 0, 1e-7], "matrix is singular"),
 ])
-def test_normalizing_roots_stop_at_the_first_bad_row(bad, message):
+def test_normalized_stops_at_the_first_bad_product(bad, message):
     rows = _normalizing_rows(np.random.default_rng(4))
     rows[170], rows[250] = bad, [1, 2, 2, 4]
-    roots, error = mb.normalizing_roots(rows)
+    normalized, error = fg._normalized(rows.reshape(-1, 2, 2))
     with pytest.raises(ValueError, match=message):
         mb.normalizing_root(*rows[170].tolist())
     assert type(error) is ValueError and str(error) == message
-    expected = np.array([mb.normalizing_root(*row) for row in rows[:170].tolist()])
-    assert roots.tobytes() == expected.tobytes()
+    expected = np.array([mb.MoebiusTransform(row.reshape(2, 2)).matrix for row in rows[:170]])
+    assert normalized.tobytes() == expected.tobytes()
+
+
+def test_repeats_drops_only_products_within_the_tolerance_of_an_element():
+    # Raw products: the rows of _normalizing_rows scaled by up to 1e150 either
+    # way, so some are singular or overflow.  Each row's normalized matrix is
+    # indexed moved by half the tolerance, or by the tolerance within 3e-8 of
+    # itself, where a quotient one ulp off the exact one may fall on the other side.
+    rng = np.random.default_rng(8)
+    rows = _normalizing_rows(rng)
+    indexed = np.array([mb.MoebiusTransform(row.reshape(2, 2)).matrix for row in rows])
+    near = 1 + rng.uniform(-3e-8, 3e-8, len(rows))
+    sizes = mb.PROJECTIVE_TOL * np.where(np.arange(len(rows)) % 4, near, 0.5)
+    at = (np.arange(len(rows)), rng.integers(2, size=len(rows)), rng.integers(2, size=len(rows)))
+    indexed[at] += sizes * np.exp(1j * rng.uniform(0, 2 * np.pi, len(rows)))
+    index = fg._KeyIndex()
+    for m in indexed.reshape(-1, 4).tolist():
+        index.add(fg._key(*m)[0], m)
+    scales = np.exp(rng.uniform(-345, 345, (3, len(rows))))
+    scales[0] = 1.0
+    block = np.concatenate([rows * s[:, None] for s in scales]).reshape(-1, 2, 2)
+    dropped = fg._repeats(block, index)
+    outcomes = []
+    for m, drop in zip(block.reshape(-1, 4).tolist(), dropped.tolist()):
+        try:
+            root = mb.normalizing_root(*m)
+        except ValueError:
+            outcomes.append("error")
+            assert not drop
+            continue
+        gap = mb.projective_gap(indexed, np.reshape(m, (2, 2)) / root).min()
+        outcomes.append("near" if gap < mb.PROJECTIVE_TOL else "far")
+        assert gap < mb.PROJECTIVE_TOL or not drop
+    assert {"error", "near", "far"} <= set(outcomes)
+    assert dropped.sum() > len(rows) // 4  # the rows moved by half the tolerance, at least
+
+
+def test_closure_of_a_serialized_conjugated_a5_normalizes_none_of_round_two(monkeypatch):
+    # round 2 forms the 59 x 59 = 3481 products of the non-identity elements,
+    # every one a repeat, so none is left to normalize
+    (gens,) = _conjugated_generators("A5", 1)
+    elements = _serialized(fg.closure(gens))
+    rows = []
+
+    def counted(*row):
+        rows.append(row)
+        return mb.normalizing_root(*row)
+
+    monkeypatch.setattr(fg, "normalizing_root", counted)
+    g = fg.closure(elements)
+    assert g.order == 60 and str(g.type_tag) == "A5" and not rows
+
+
+@pytest.mark.parametrize("tolerances", [1, 10])
+def test_bulk_round_matches_oracle_where_a_gap_meets_a_tolerance(tolerances):
+    # the pairs [r, s] of _nudged_squares and seven rotations of order 17, far
+    # from every product: round 2 has 81 products, so it is prefiltered, and its
+    # first, r r, lies at the tolerance from s or one ulp below it
+    tol = tolerances * mb.PROJECTIVE_TOL
+    rotations = [mb.MoebiusTransform.scaling(cmath.exp(2j * cmath.pi * k / 17))
+                 for k in range(1, 8)]
+    outcomes = [_assert_closure_matches_oracle(pair + rotations, cap)
+                for pair in _nudged_squares(tol) for cap in (10, fg.DEFAULT_CLOSURE_CAP)]
+    assert (NumericalAmbiguity,
+            f"two elements at projective distance {tol:.3e}; tighten the generators") in outcomes
+    assert (InfiniteGroup, "closure exceeded 10 elements") in outcomes
 
 
 def test_closure_of_a_serialized_d200_takes_few_exact_gaps(monkeypatch):

@@ -449,6 +449,26 @@ def test_invariance_defect_calls_the_kernel_once_per_generator(source, monkeypat
     assert len(calls) == 1 + len(g.generators) == (61 if source == "json" else 3)
 
 
+def test_invariance_defect_reads_a_repeated_generator_once(monkeypatch):
+    m = fg.random_conjugator(np.random.default_rng(5), 10.0)
+    gens = [m.compose(h).compose(m.inverse())
+            for h in mb.standard_generators(fg.parse_group_tag("S4"))]
+    g, thrice = fg.closure(gens), fg.closure(gens * 3)
+    assert len(thrice.generators) == 3 * len(g.generators) == 6
+    metric = mt.averaged_metric(g)
+    calls = []
+    density = mt.ConformalMetric._density
+
+    def counted(self, p, r):
+        calls.append(len(p))
+        return density(self, p, r)
+
+    monkeypatch.setattr(mt.ConformalMetric, "_density", counted)
+    defects = [mt.invariance_defect(metric, grp, 200) for grp in (g, thrice)]
+    assert len(calls) == 2 * (1 + len(g.generators))
+    assert np.float64(defects[0]).tobytes() == np.float64(defects[1]).tobytes()
+
+
 def test_metric_distance_properties():
     rnd = mt.round_metric()
     assert mt.metric_distance(rnd, rnd, 100) == 0.0

@@ -19,13 +19,17 @@ so the candidates are compacted, and a dessin whose candidates die down to
 the identity.  It also feeds the generator files of ``_fixed_generators()``
 to ``metric``: a serialized icosahedral group, whose second closure round has
 3481 products that all repeat an element, part of it, whose round of 144
-products registers new elements, two perturbed lists that end in a
-``NumericalAmbiguity``, and three rotation pairs whose second round meets a
-product within rounding of the dedup tolerance 1e-9 or of ten times it, the
-band where closure takes numpy's gap over its Python one.  The ``orbit``
-construction, whose workload ops stop at 192 orbit triples, runs on the
-serialized icosahedral group and on the tags of ``ORBIT_GROUPS``: S4 (576
-triples) and A5 (7200).  The tags of ``CAP_GROUPS`` close at and next to the
+products registers new elements, its generator pair, two perturbed lists that
+end in a ``NumericalAmbiguity``, three rotation pairs whose second round meets
+a product within rounding of the dedup tolerance 1e-9 or of ten times it, the
+band where closure takes numpy's gap over its Python one, and the serialized
+icosahedral, octahedral and D7 groups conjugated by ``diag(s, 1) M`` for the
+conjugators M of ``STRETCHED`` at s = 1e4 and 1e5, whose entries reach s and
+whose second rounds drop their repeats with a wider rounding slack.  The
+``orbit`` construction, whose workload ops stop at 192 orbit triples, runs on
+the serialized icosahedral group and its generator pair, both conjugated, so
+that their orbit triples have generic coordinates, and on the tags of
+``ORBIT_GROUPS``: S4 (576 triples) and A5 (7200).  The tags of ``CAP_GROUPS`` close at and next to the
 closure cap of 200: C199, D99, C200 and D100 close, and C201 raises
 ``InfiniteGroup``, compared by the last line of its traceback.
 
@@ -160,27 +164,44 @@ def _moved(m: tuple, c: tuple) -> tuple:
     return _product(_product(c, m), (c[3], -c[1], -c[2], c[0]))
 
 
-def _fixed_generators() -> dict[str, str]:
-    """Generator files that no workload op reaches, by name: the icosahedral group of the
-    package's standard pair, closed breadth-first here and moved by a fixed conjugator,
-    and pairs whose second closure round meets a product at a gap of about 1e-9 or 1e-8."""
-    delta = cmath.exp(2j * cmath.pi / 5)
-    q = cmath.sqrt(1 - delta - 1 / delta)
-    pair = [_normalized((delta, 0, 0, 1)), _normalized((1, q, q, -1))]
+def _closed(pair: list) -> list:
+    """The group of a generator pair, closed breadth-first from the identity: a product
+    is new unless within 1e-6 of an element, up to sign."""
     elements, frontier = [(1, 0, 0, 1)], [(1, 0, 0, 1)]
-    while frontier:  # a product is new unless within 1e-6 of an element, up to sign
+    while frontier:
         start = len(elements)
         for p in [_product(w, g) for w in frontier for g in pair]:
             if all(min(max(abs(u - v) for u, v in zip(p, e)),
                        max(abs(u + v) for u, v in zip(p, e))) > 1e-6 for e in elements):
                 elements.append(p)
         frontier = elements[start:]
+    return elements
+
+
+# Fixed conjugators M, as entries (a, b, c, d), of the groups stretched by
+# diag(s, 1) M.  At s = 1e4 all close; at 1e5 the first closes and the second
+# ends A5 and S4 in a NumericalAmbiguity inside the first block of their second
+# closure round, while its D7 closes to 14 elements that classify as other.
+STRETCHED = ((0.5 - 0.5j, -0.1j, 0.3 + 0.6j, 0.7 - 0.1j),
+             (0.3 - 0.6j, -0.8 - 0.3j, 0.4 + 0.4j, 0.9 - 0.2j))
+
+
+def _fixed_generators() -> dict[str, str]:
+    """Generator files that no workload op reaches, by name: the icosahedral group of the
+    package's standard pair, closed breadth-first here and moved by a fixed conjugator,
+    pairs whose second closure round meets a product at a gap of about 1e-9 or 1e-8,
+    and the icosahedral, octahedral and D7 groups stretched by diag(s, 1) M."""
+    delta = cmath.exp(2j * cmath.pi / 5)
+    q = cmath.sqrt(1 - delta - 1 / delta)
+    pair = [_normalized((delta, 0, 0, 1)), _normalized((1, q, q, -1))]
+    elements = _closed(pair)
     c, nudge = _normalized((2, 1 + 1j, 0.5j, 1)), (1, 2e-9, 0, 1)
     moved = [_moved(e, c) for e in elements]
     files = {
         "a5-serialized": moved,
         "a5-twelve-elements": moved[1:13],
         "a5-one-element-nudged": moved[:30] + [_moved(moved[30], nudge)] + moved[31:],
+        "a5-pair-moved": [_moved(pair[0], c), _moved(pair[1], c)],
         "a5-pair-nudged": [_moved(pair[0], c), _moved(_moved(pair[1], nudge), c)],
     }
     # z -> w z and the square of it with t at the top right: the product of the first
@@ -190,6 +211,15 @@ def _fixed_generators() -> dict[str, str]:
     square = _product(r, r)
     for name, t in (("1e-9", 1e-9), ("6e-10+8e-10i", 6e-10 + 8e-10j), ("6e-9+8e-9i", 6e-9 + 8e-9j)):
         files[f"c5-square-nudged-{name}"] = [r, (square[0], t, square[2], square[3])]
+    pairs = {"a5": pair, "s4": [_normalized((1j, 0, 0, 1)), _normalized((1, 1, 1, -1))],
+             "d7": [_normalized((cmath.exp(2j * cmath.pi / 7), 0, 0, 1)),
+                    _normalized((0, 1, 1, 0))]}
+    for name, group in pairs.items():
+        elements = _closed(group)
+        for s in (1e4, 1e5):
+            for k, m in enumerate(STRETCHED):
+                c = _normalized(_product((s, 0, 0, 1), m))
+                files[f"{name}-stretched-{s:.0e}-{k}"] = [_moved(e, c) for e in elements]
     return {name: json.dumps([[[z.real, z.imag] for z in m] for m in ms])
             for name, ms in files.items()}
 
@@ -365,7 +395,8 @@ def _runs(parent: Path, change: Path, seeds: list[int], tmp: str):
             ("malformed dessins", MALFORMED_DESSINS, _info),
             ("fixed dessins", _fixed_dessins(), _info),
             ("fixed generators", generators, _metric("average")),
-            ("fixed orbit generators", {"a5-serialized": generators["a5-serialized"]},
+            ("fixed orbit generators", {name: generators[name]
+                                        for name in ("a5-serialized", "a5-pair-moved")},
              _metric("orbit"))):
         yield title, [_file_side(root, Path(tmp, title.replace(" ", "-"), name), files, command)
                       for name, root in roots]
